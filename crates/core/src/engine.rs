@@ -426,9 +426,12 @@ fn classify_traces(traces: &[asym_kernel::KernelTrace]) -> RunClass {
 
 /// The engine's streaming trace consumer: one per kernel, folding the
 /// stable hash and (when metrics are wanted) the run profile
-/// incrementally as events are emitted. This is what makes the
-/// no-check, no-observer sweep path O(1) in trace length — no
-/// [`KernelTrace`](asym_kernel::KernelTrace) is ever materialized.
+/// incrementally as events are emitted. No
+/// [`KernelTrace`](asym_kernel::KernelTrace) is ever materialized, and
+/// the profile fold runs without its Perfetto timeline (the engine keeps
+/// only the metrics), so the no-check, no-observer sweep path is O(1) in
+/// trace length. Only the profile and diff tools build the timeline,
+/// which is O(events).
 struct CellFold {
     hasher: TraceHasher,
     profile: Option<ProfileFold>,
@@ -440,7 +443,7 @@ impl CellFold {
     fn new(machine: &MachineSpec, policy: SchedPolicy, want_metrics: bool) -> Self {
         CellFold {
             hasher: TraceHasher::new(),
-            profile: want_metrics.then(|| ProfileFold::new(machine, policy)),
+            profile: want_metrics.then(|| ProfileFold::without_timeline(machine, policy)),
             outcome: None,
             budget_exhausted: false,
         }

@@ -18,8 +18,11 @@
 //!   demand by [`KernelTrace::records`].
 //! * **Streaming** ([`capture_stream`]) never buffers: each kernel's
 //!   events are pushed into a caller-supplied [`TraceConsumer`] as they
-//!   are emitted, bounding trace memory to the consumer's own state —
-//!   O(1) for the profile folds the sweep engine uses.
+//!   are emitted, bounding trace memory to the consumer's own state.
+//!   That is O(1) in trace length for the stable hash and for the
+//!   sweep engine's timeline-free profile fold; a profile fold that
+//!   keeps its Perfetto timeline (the profile and diff tools) is
+//!   O(events).
 
 use crate::kernel::{AtomicOp, PreemptReason, RunOutcome, TraceEvent, WakeReason};
 use crate::policy::SchedPolicy;
@@ -621,26 +624,24 @@ impl KernelTrace {
 /// collapse the per-kernel [`KernelTrace::stable_hash`] values of one
 /// run (or the per-run hashes of one sweep cell) into a single number.
 /// Order matters, exactly as it does for the underlying event streams.
+/// Each hash is folded as its little-endian bytes, on every platform.
 #[derive(Debug, Clone, Copy)]
-pub struct TraceHashFold(u64);
+pub struct TraceHashFold(StableHasher);
 
 impl TraceHashFold {
     /// An empty fold (the FNV-1a offset basis).
     pub fn new() -> Self {
-        TraceHashFold(0xcbf2_9ce4_8422_2325)
+        TraceHashFold(StableHasher::new())
     }
 
     /// Folds one 64-bit hash into the accumulator, byte by byte.
     pub fn push(&mut self, hash: u64) {
-        for byte in hash.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        std::hash::Hasher::write(&mut self.0, &hash.to_le_bytes());
     }
 
     /// The folded hash.
     pub fn finish(&self) -> u64 {
-        self.0
+        std::hash::Hasher::finish(&self.0)
     }
 }
 

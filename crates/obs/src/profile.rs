@@ -14,7 +14,6 @@ use asym_kernel::{
     KernelTrace, PreemptReason, RunOutcome, SchedPolicy, TraceConsumer, TraceEvent, WakeReason,
 };
 use asym_sim::{MachineSpec, SimDuration, SimTime, Speed};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Where one core's time went over a run.
@@ -401,8 +400,58 @@ enum ThSt {
 struct CoreSt {
     online: bool,
     speed: Speed,
+    /// `speed_permyriad(speed)`, kept in step with `speed`.
+    speed_pmy: u64,
     running: Option<usize>,
     queued: u64,
+}
+
+/// The Perfetto-only part of a fold: run slices, instant marks, counter
+/// samples and flow arrows, plus the pending flow endpoints. Unlike the
+/// metrics state it grows with every event, so only folds that will be
+/// exported keep one.
+#[derive(Debug, Default)]
+struct Timeline {
+    slices: Vec<Slice>,
+    marks: Vec<Mark>,
+    counters: Vec<CounterSample>,
+    flows: Vec<Flow>,
+    /// Per-thread pending migration decision: `(decision time, source
+    /// core)` set by `Migrate`, consumed by the dispatch that lands the
+    /// thread (the flow arrow's two endpoints).
+    pending_migration: Vec<Option<(SimTime, usize)>>,
+    /// Per-lock pending release: `(release time, core, releasing tid)`.
+    /// A contended acquire consumes it into a lock-handoff flow; an
+    /// uncontended acquire just clears it.
+    pending_release: Vec<Option<(SimTime, usize, usize)>>,
+}
+
+impl Timeline {
+    fn mark(&mut self, core: usize, time: SimTime, kind: MarkKind) {
+        self.marks.push(Mark { core, time, kind });
+    }
+
+    fn count(&mut self, core: usize, time: SimTime, kind: CounterKind, value: u64) {
+        self.counters.push(CounterSample {
+            core,
+            time,
+            kind,
+            value,
+        });
+    }
+}
+
+/// Fills `slots[index]`, growing the table as needed.
+fn set_slot<T: Copy>(slots: &mut Vec<Option<T>>, index: usize, value: T) {
+    if slots.len() <= index {
+        slots.resize(index + 1, None);
+    }
+    slots[index] = Some(value);
+}
+
+/// Takes `slots[index]`, leaving `None` (absent slots read as `None`).
+fn take_slot<T>(slots: &mut [Option<T>], index: usize) -> Option<T> {
+    slots.get_mut(index).and_then(Option::take)
 }
 
 /// An *online* fold of one kernel's trace stream into a [`RunProfile`]:
@@ -412,17 +461,29 @@ struct CoreSt {
 /// [`capture_stream`](asym_kernel::capture_stream) can drive it directly
 /// off the hot path), then call [`finish`](ProfileFold::finish). The
 /// resulting profile is field-for-field identical to replaying the
-/// buffered trace post hoc — per-cell trace memory stays O(1) in the
-/// event count.
+/// buffered trace post hoc.
+///
+/// A fold built by [`new`](ProfileFold::new) also records the timeline
+/// the Perfetto exporter draws, which grows with the event count. One
+/// built by [`without_timeline`](ProfileFold::without_timeline) keeps
+/// only the accounting, whose memory is O(1) in the event count (it
+/// grows with cores, threads and wait queues only) — what the sweep
+/// engine uses, since it keeps only [`RunProfile::metrics`].
 pub struct ProfileFold {
     policy: SchedPolicy,
     outcome: Option<RunOutcome>,
     cores: Vec<CoreSt>,
     core_acc: Vec<CoreProfile>,
+    /// The top speed across online cores, if any core is online: a pure
+    /// function of `cores`, refreshed whenever a speed or online flag
+    /// changes.
+    top_speed: Option<Speed>,
     threads: Vec<ThSt>,
     thread_acc: Vec<ThreadProfile>,
     migrating: Vec<bool>,
-    waits: BTreeMap<usize, WaitProfile>,
+    /// Indexed by wait-queue index; `None` for queues the trace never
+    /// mentioned.
+    waits: Vec<Option<WaitProfile>>,
     last: SimTime,
     fast_idle_slow_runnable: SimDuration,
     speed_changes: u64,
@@ -435,30 +496,33 @@ pub struct ProfileFold {
     preempt_yield: u64,
     preempt_interrupt: u64,
     steals: u64,
-    slices: Vec<Slice>,
-    marks: Vec<Mark>,
-    counters: Vec<CounterSample>,
-    flows: Vec<Flow>,
-    /// Per-thread pending migration decision: `(decision time, source
-    /// core)` set by `Migrate`, consumed by the dispatch that lands the
-    /// thread (the flow arrow's two endpoints).
-    pending_migration: Vec<Option<(SimTime, usize)>>,
-    /// Per-lock pending release: `(release time, core, releasing tid)`.
-    /// A contended acquire consumes it into a lock-handoff flow; an
-    /// uncontended acquire just clears it.
-    pending_release: BTreeMap<usize, (SimTime, usize, usize)>,
+    timeline: Option<Timeline>,
 }
 
 impl ProfileFold {
     /// A fresh fold for one kernel on `machine` under `policy` (the two
-    /// trace-independent inputs the profile needs).
+    /// trace-independent inputs the profile needs), recording the
+    /// Perfetto timeline as well as the accounting.
     pub fn new(machine: &MachineSpec, policy: SchedPolicy) -> Self {
+        Self::build(machine, policy, true)
+    }
+
+    /// Like [`new`](ProfileFold::new), but without the Perfetto
+    /// timeline: the finished profile's accounting and
+    /// [`metrics`](RunProfile::metrics) are identical, and it exports no
+    /// slices, marks, counter tracks or flows.
+    pub fn without_timeline(machine: &MachineSpec, policy: SchedPolicy) -> Self {
+        Self::build(machine, policy, false)
+    }
+
+    fn build(machine: &MachineSpec, policy: SchedPolicy, timeline: bool) -> Self {
         let cores: Vec<CoreSt> = machine
             .speeds()
             .iter()
             .map(|&speed| CoreSt {
                 online: true,
                 speed,
+                speed_pmy: speed_permyriad(speed),
                 running: None,
                 queued: 0,
             })
@@ -475,32 +539,26 @@ impl ProfileFold {
                 speed_weighted: 0,
             })
             .collect();
-        // Seed both counter tracks at t=0 so every core exports a track
-        // even if nothing ever changes on it.
-        let mut counters = Vec::new();
-        for (c, st) in cores.iter().enumerate() {
-            counters.push(CounterSample {
-                core: c,
-                time: SimTime::ZERO,
-                kind: CounterKind::Speed,
-                value: speed_permyriad(st.speed),
-            });
-            counters.push(CounterSample {
-                core: c,
-                time: SimTime::ZERO,
-                kind: CounterKind::Runnable,
-                value: 0,
-            });
-        }
-        ProfileFold {
+        let timeline = timeline.then(|| {
+            // Seed both counter tracks at t=0 so every core exports a
+            // track even if nothing ever changes on it.
+            let mut tl = Timeline::default();
+            for (c, st) in cores.iter().enumerate() {
+                tl.count(c, SimTime::ZERO, CounterKind::Speed, st.speed_pmy);
+                tl.count(c, SimTime::ZERO, CounterKind::Runnable, 0);
+            }
+            tl
+        });
+        let mut fold = ProfileFold {
             policy,
             outcome: None,
             cores,
             core_acc,
+            top_speed: None,
             threads: Vec::new(),
             thread_acc: Vec::new(),
             migrating: Vec::new(),
-            waits: BTreeMap::new(),
+            waits: Vec::new(),
             last: SimTime::ZERO,
             fast_idle_slow_runnable: SimDuration::ZERO,
             speed_changes: 0,
@@ -513,13 +571,10 @@ impl ProfileFold {
             preempt_yield: 0,
             preempt_interrupt: 0,
             steals: 0,
-            slices: Vec::new(),
-            marks: Vec::new(),
-            counters,
-            flows: Vec::new(),
-            pending_migration: Vec::new(),
-            pending_release: BTreeMap::new(),
-        }
+            timeline,
+        };
+        fold.refresh_top_speed();
+        fold
     }
 
     fn ensure_thread(&mut self, tid: usize) {
@@ -528,24 +583,28 @@ impl ProfileFold {
             self.threads.push(ThSt::Absent);
             self.thread_acc.push(ThreadProfile::new(next));
             self.migrating.push(false);
-            self.pending_migration.push(None);
         }
     }
 
     /// Samples `core`'s runnable-queue-depth counter track at `time`.
     fn sample_queue(&mut self, core: usize, time: SimTime) {
-        self.counters.push(CounterSample {
-            core,
-            time,
-            kind: CounterKind::Runnable,
-            value: self.cores[core].queued,
-        });
+        if let Some(tl) = self.timeline.as_mut() {
+            tl.count(core, time, CounterKind::Runnable, self.cores[core].queued);
+        }
+    }
+
+    /// Records an instant mark on the timeline, if there is one.
+    fn mark(&mut self, core: usize, time: SimTime, kind: MarkKind) {
+        if let Some(tl) = self.timeline.as_mut() {
+            tl.mark(core, time, kind);
+        }
     }
 
     fn wait_entry(&mut self, wait: usize) -> &mut WaitProfile {
-        self.waits
-            .entry(wait)
-            .or_insert_with(|| WaitProfile::new(wait))
+        if self.waits.len() <= wait {
+            self.waits.resize(wait + 1, None);
+        }
+        self.waits[wait].get_or_insert_with(|| WaitProfile::new(wait))
     }
 
     fn classify(&mut self, wait: usize, kind: WaitKind) {
@@ -555,13 +614,15 @@ impl ProfileFold {
         }
     }
 
-    /// The top speed across online cores, if any core is online.
-    fn max_online_speed(&self) -> Option<Speed> {
-        self.cores
+    /// Recomputes the cached top online speed; called after every change
+    /// to a core's speed or online flag.
+    fn refresh_top_speed(&mut self) {
+        self.top_speed = self
+            .cores
             .iter()
             .filter(|c| c.online)
             .map(|c| c.speed)
-            .max()
+            .max();
     }
 
     /// Accounts the interval `[self.last, now)` against the current core
@@ -573,29 +634,34 @@ impl ProfileFold {
         if dt.is_zero() {
             return;
         }
+        let top = self.top_speed;
+        let mut best_idle: Option<Speed> = None;
+        let mut fast_idle = false;
+        let mut slow_has_work = false;
         for (st, acc) in self.cores.iter().zip(self.core_acc.iter_mut()) {
             if !st.online {
                 acc.offline += dt;
-            } else if st.running.is_some() {
+                continue;
+            }
+            if st.running.is_some() {
                 acc.busy += dt;
             } else {
                 acc.idle += dt;
+                best_idle = best_idle.max(Some(st.speed));
             }
-            if st.online {
-                acc.speed_weighted = acc
-                    .speed_weighted
-                    .saturating_add(dt.as_nanos().saturating_mul(speed_permyriad(st.speed)));
+            acc.speed_weighted = acc
+                .speed_weighted
+                .saturating_add(dt.as_nanos().saturating_mul(st.speed_pmy));
+            // `top` is `Some` whenever a core is online.
+            if Some(st.speed) == top {
+                fast_idle |= st.running.is_none();
+            } else {
+                slow_has_work |= st.running.is_some() || st.queued > 0;
             }
         }
         // Tracking lag: threads running on cores strictly slower than the
         // fastest idle online core are on a tier the schedule should have
         // re-ranked them out of.
-        let best_idle = self
-            .cores
-            .iter()
-            .filter(|c| c.online && c.running.is_none())
-            .map(|c| c.speed)
-            .max();
         if let Some(best) = best_idle {
             let lagging = self
                 .cores
@@ -606,27 +672,14 @@ impl ProfileFold {
                 self.tracking_lag += dt * lagging;
             }
         }
-        if let Some(top) = self.max_online_speed() {
-            let fast_idle = self
-                .cores
-                .iter()
-                .any(|c| c.online && c.speed == top && c.running.is_none());
-            let slow_has_work = self
-                .cores
-                .iter()
-                .any(|c| c.online && c.speed < top && (c.running.is_some() || c.queued > 0));
-            if fast_idle && slow_has_work {
-                self.fast_idle_slow_runnable += dt;
-            }
+        if fast_idle && slow_has_work {
+            self.fast_idle_slow_runnable += dt;
         }
     }
 
     /// Whether `core` currently runs at the machine's top online speed.
     fn core_is_fast(&self, core: usize) -> bool {
-        match self.max_online_speed() {
-            Some(top) => self.cores[core].speed == top,
-            None => false,
-        }
+        self.top_speed == Some(self.cores[core].speed)
     }
 
     /// Closes the fast/slow accounting segment of every running thread
@@ -676,13 +729,15 @@ impl ProfileFold {
         if complete {
             self.run_quantum.record(quantum);
         }
-        self.slices.push(Slice {
-            core,
-            tid,
-            start: spell_start,
-            dur: quantum,
-            end,
-        });
+        if let Some(tl) = self.timeline.as_mut() {
+            tl.slices.push(Slice {
+                core,
+                tid,
+                start: spell_start,
+                dur: quantum,
+                end,
+            });
+        }
         if self.cores[core].running == Some(tid) {
             self.cores[core].running = None;
         }
@@ -726,17 +781,20 @@ impl ProfileFold {
                     self.migrating[t] = false;
                     self.thread_acc[t].migrations += 1;
                     self.thread_acc[t].migration_wait += waited;
-                    if let Some((src_time, src_core)) = self.pending_migration[t].take() {
-                        self.flows.push(Flow {
-                            kind: FlowKind::Migration,
-                            key: t,
-                            src_core,
-                            src_time,
-                            src_tid: t,
-                            dst_core: core.0,
-                            dst_time: time,
-                            dst_tid: t,
-                        });
+                    if let Some(tl) = self.timeline.as_mut() {
+                        if let Some((src_time, src_core)) = take_slot(&mut tl.pending_migration, t)
+                        {
+                            tl.flows.push(Flow {
+                                kind: FlowKind::Migration,
+                                key: t,
+                                src_core,
+                                src_time,
+                                src_tid: t,
+                                dst_core: core.0,
+                                dst_time: time,
+                                dst_tid: t,
+                            });
+                        }
                     }
                 }
                 self.threads[t] = ThSt::Running {
@@ -752,12 +810,10 @@ impl ProfileFold {
                 let t = tid.index();
                 self.ensure_thread(t);
                 self.migrating[t] = true;
-                self.pending_migration[t] = Some((time, from.0));
-                self.marks.push(Mark {
-                    core: to.0,
-                    time,
-                    kind: MarkKind::Migrate { tid: t },
-                });
+                if let Some(tl) = self.timeline.as_mut() {
+                    set_slot(&mut tl.pending_migration, t, (time, from.0));
+                    tl.mark(to.0, time, MarkKind::Migrate { tid: t });
+                }
             }
             TraceEvent::Preempt { tid, core, reason } => {
                 let t = tid.index();
@@ -865,7 +921,9 @@ impl ProfileFold {
                 }
                 self.threads[t] = ThSt::Absent;
                 self.migrating[t] = false;
-                self.pending_migration[t] = None;
+                if let Some(tl) = self.timeline.as_mut() {
+                    take_slot(&mut tl.pending_migration, t);
+                }
             }
             TraceEvent::Signal { wait, woken, .. } => {
                 let w = self.wait_entry(wait.index());
@@ -882,15 +940,21 @@ impl ProfileFold {
                 self.classify(lock.index(), WaitKind::Lock);
                 // Any acquire consumes the lock's pending release; only a
                 // contended one completes a release→acquire handoff flow.
-                let pending = self.pending_release.remove(&lock.index());
+                let pending = self
+                    .timeline
+                    .as_mut()
+                    .and_then(|tl| take_slot(&mut tl.pending_release, lock.index()));
                 if contended {
                     self.wait_entry(lock.index()).contended_acquires += 1;
                     let t = tid.index();
                     self.ensure_thread(t);
-                    if let (Some((src_time, src_core, src_tid)), ThSt::Running { core, .. }) =
-                        (pending, self.threads[t])
+                    if let (
+                        Some(tl),
+                        Some((src_time, src_core, src_tid)),
+                        ThSt::Running { core, .. },
+                    ) = (self.timeline.as_mut(), pending, self.threads[t])
                     {
-                        self.flows.push(Flow {
+                        tl.flows.push(Flow {
                             kind: FlowKind::LockHandoff,
                             key: lock.index(),
                             src_core,
@@ -907,8 +971,10 @@ impl ProfileFold {
                 self.classify(lock.index(), WaitKind::Lock);
                 let t = tid.index();
                 self.ensure_thread(t);
-                if let ThSt::Running { core, .. } = self.threads[t] {
-                    self.pending_release.insert(lock.index(), (time, core, t));
+                if let (Some(tl), ThSt::Running { core, .. }) =
+                    (self.timeline.as_mut(), self.threads[t])
+                {
+                    set_slot(&mut tl.pending_release, lock.index(), (time, core, t));
                 }
             }
             TraceEvent::CondWait { cond, lock, .. } => {
@@ -926,45 +992,31 @@ impl ProfileFold {
             }
             TraceEvent::SpeedChange { core, speed } => {
                 self.reseat_running_segments(time);
+                let pmy = speed_permyriad(speed);
                 self.cores[core.0].speed = speed;
+                self.cores[core.0].speed_pmy = pmy;
+                self.refresh_top_speed();
                 self.speed_changes += 1;
-                self.marks.push(Mark {
-                    core: core.0,
-                    time,
-                    kind: MarkKind::Speed,
-                });
-                self.counters.push(CounterSample {
-                    core: core.0,
-                    time,
-                    kind: CounterKind::Speed,
-                    value: speed_permyriad(speed),
-                });
+                if let Some(tl) = self.timeline.as_mut() {
+                    tl.mark(core.0, time, MarkKind::Speed);
+                    tl.count(core.0, time, CounterKind::Speed, pmy);
+                }
             }
             TraceEvent::Rerank { core } => {
                 self.reranks += 1;
-                self.marks.push(Mark {
-                    core: core.0,
-                    time,
-                    kind: MarkKind::Rerank,
-                });
+                self.mark(core.0, time, MarkKind::Rerank);
             }
             TraceEvent::CoreOffline { core } => {
                 self.reseat_running_segments(time);
                 self.cores[core.0].online = false;
-                self.marks.push(Mark {
-                    core: core.0,
-                    time,
-                    kind: MarkKind::Offline,
-                });
+                self.refresh_top_speed();
+                self.mark(core.0, time, MarkKind::Offline);
             }
             TraceEvent::CoreOnline { core } => {
                 self.reseat_running_segments(time);
                 self.cores[core.0].online = true;
-                self.marks.push(Mark {
-                    core: core.0,
-                    time,
-                    kind: MarkKind::Online,
-                });
+                self.refresh_top_speed();
+                self.mark(core.0, time, MarkKind::Online);
             }
             TraceEvent::ThreadKilled { tid } => {
                 let t = tid.index();
@@ -974,11 +1026,7 @@ impl ProfileFold {
                     ThSt::Running { core, .. } | ThSt::Queued { core, .. } => core,
                     _ => 0,
                 };
-                self.marks.push(Mark {
-                    core,
-                    time,
-                    kind: MarkKind::Killed { tid: t },
-                });
+                self.mark(core, time, MarkKind::Killed { tid: t });
             }
             TraceEvent::SetAffinity { .. } | TraceEvent::AffinityOverride { .. } => {}
             // Shared-access annotations and join observations carry no
@@ -1025,13 +1073,14 @@ impl ProfileFold {
         let end = self.last;
         self.advance(end);
         self.close_open_spells(end);
+        let tl = self.timeline.unwrap_or_default();
         RunProfile {
             policy: self.policy,
             outcome: self.outcome,
             duration: end.saturating_duration_since(SimTime::ZERO),
             cores: self.core_acc,
             threads: self.thread_acc,
-            waits: self.waits.into_values().collect(),
+            waits: self.waits.into_iter().flatten().collect(),
             fast_idle_slow_runnable: self.fast_idle_slow_runnable,
             speed_changes: self.speed_changes,
             reranks: self.reranks,
@@ -1043,11 +1092,21 @@ impl ProfileFold {
             preempt_yield: self.preempt_yield,
             preempt_interrupt: self.preempt_interrupt,
             steals: self.steals,
-            slices: self.slices,
-            marks: self.marks,
-            counters: self.counters,
-            flows: self.flows,
+            slices: tl.slices,
+            marks: tl.marks,
+            counters: tl.counters,
+            flows: tl.flows,
         }
+    }
+
+    /// Feeds every record of a buffered `trace` and its outcome, then
+    /// finishes the fold.
+    fn replay(mut self, trace: &KernelTrace) -> RunProfile {
+        for r in trace.records() {
+            self.on_event(r.time, &r.event);
+        }
+        self.on_close(trace.outcome, trace.budget_exhausted);
+        self.finish()
     }
 }
 
@@ -1068,12 +1127,14 @@ impl RunProfile {
     /// two paths are equivalent by construction (and by regression
     /// test).
     pub fn from_trace(trace: &KernelTrace) -> RunProfile {
-        let mut fold = ProfileFold::new(&trace.machine, trace.policy);
-        for r in trace.records() {
-            fold.on_event(r.time, &r.event);
-        }
-        fold.on_close(trace.outcome, trace.budget_exhausted);
-        fold.finish()
+        ProfileFold::new(&trace.machine, trace.policy).replay(trace)
+    }
+
+    /// Number of timeline entries (run slices, instant marks, counter
+    /// samples and flow arrows) the Perfetto exporter draws; 0 for a
+    /// profile folded [`without_timeline`](ProfileFold::without_timeline).
+    pub fn timeline_len(&self) -> usize {
+        self.slices.len() + self.marks.len() + self.counters.len() + self.flows.len()
     }
 
     /// Total cross-core migrations over all threads.
@@ -1388,7 +1449,8 @@ pub fn profile_traces(traces: &[KernelTrace]) -> Vec<RunProfile> {
 pub fn metrics_of_traces(traces: &[KernelTrace]) -> ProfileMetrics {
     let mut m = ProfileMetrics::new();
     for t in traces {
-        m.merge(&RunProfile::from_trace(t).metrics());
+        let fold = ProfileFold::without_timeline(&t.machine, t.policy);
+        m.merge(&fold.replay(t).metrics());
     }
     m
 }

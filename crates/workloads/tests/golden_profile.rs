@@ -16,9 +16,18 @@
 use asym_core::{
     AsymConfig, CellRunner, ExperimentOptions, ExperimentPlan, RunSetup, SpecMode, Workload,
 };
-use asym_kernel::{capture_traces, SchedPolicy};
-use asym_obs::{profile_traces, ProfileMetrics};
+use asym_kernel::{
+    capture_stream, capture_traces, with_run_guard, KernelTrace, RunGuard, SchedPolicy, TraceEvent,
+};
+use asym_obs::{profile_traces, ProfileFold, ProfileMetrics, RunProfile};
+use asym_sim::{EnvironmentPlan, EnvironmentProfile, FaultPlan, FaultProfile, SimDuration};
+use asym_workloads::h264::H264;
+use asym_workloads::japps::JAppServer;
+use asym_workloads::pmake::Pmake;
 use asym_workloads::specjbb::{GcKind, SpecJbb};
+use asym_workloads::specomp::SpecOmp;
+use asym_workloads::tpch::TpcH;
+use asym_workloads::webserver::{Apache, LoadLevel, Zeus};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -129,4 +138,92 @@ fn engine_metrics_identical_across_jobs() {
 fn serial_json_is_finite(m: &ProfileMetrics) -> bool {
     let json = m.to_json();
     !json.contains("NaN") && !json.contains("inf") && !json.is_empty()
+}
+
+fn paper_workloads() -> Vec<Box<dyn Workload>> {
+    vec![
+        Box::new(JAppServer::new(320.0)),
+        Box::new(SpecJbb::new(16).gc(GcKind::ConcurrentGenerational)),
+        Box::new(Apache::new(LoadLevel::light())),
+        Box::new(Zeus::new(LoadLevel::light())),
+        Box::new(TpcH::power_run()),
+        Box::new(H264::new()),
+        Box::new(SpecOmp::new("swim").work_scale(0.5)),
+        Box::new(Pmake::new()),
+    ]
+}
+
+/// Counts the events of `traces` that `pick` selects.
+fn count_events(traces: &[KernelTrace], pick: impl Fn(&TraceEvent) -> bool) -> usize {
+    traces
+        .iter()
+        .flat_map(|t| t.records())
+        .filter(|r| pick(&r.event))
+        .count()
+}
+
+/// The sweep engine folds metrics without the Perfetto timeline. On one
+/// faulted-plus-environment cell per paper workload (throttles, hotplug,
+/// kills and environment speed changes all occur), that fold must give
+/// the same profile as a post-hoc replay with the timeline, field for
+/// field, while carrying no timeline itself.
+#[test]
+fn timeline_free_fold_equals_replay_under_faults_and_environment() {
+    let config = AsymConfig::new(1, 3, 8);
+    let cores = config.num_cores() as usize;
+    let horizon = SimDuration::from_millis(500);
+    // At this seed every workload's plan lands at least one kill before
+    // the run ends (pmake finishes too early for some seeds).
+    let seed = 1;
+    for w in paper_workloads() {
+        let guard = || {
+            RunGuard::new()
+                .watchdog(SimDuration::from_secs(5))
+                .sim_time_budget(SimDuration::from_secs(120))
+                .fault_plan(FaultPlan::generate(
+                    seed,
+                    cores,
+                    &FaultProfile::with_kills(horizon, 2),
+                ))
+                .environment(EnvironmentPlan::generate(
+                    seed,
+                    cores,
+                    &EnvironmentProfile::combined(horizon),
+                ))
+        };
+        let setup = RunSetup::new(config, SchedPolicy::os_default(), seed);
+        let (_, traces) = capture_traces(|| with_run_guard(guard(), || w.run(&setup)));
+        let (_, folds) = capture_stream(ProfileFold::without_timeline, || {
+            with_run_guard(guard(), || w.run(&setup))
+        });
+        let name = w.name();
+        assert!(
+            count_events(&traces, |e| matches!(e, TraceEvent::SpeedChange { .. })) > 0,
+            "{name}: no speed change"
+        );
+        assert!(
+            count_events(&traces, |e| matches!(e, TraceEvent::CoreOffline { .. })) > 0,
+            "{name}: no hotplug"
+        );
+        assert!(
+            count_events(&traces, |e| matches!(e, TraceEvent::ThreadKilled { .. })) > 0,
+            "{name}: no kill"
+        );
+        assert_eq!(traces.len(), folds.len(), "{name}: kernel count");
+        for (trace, fold) in traces.iter().zip(folds) {
+            let replayed = RunProfile::from_trace(trace);
+            let folded = fold.finish();
+            assert_eq!(replayed.metrics(), folded.metrics(), "{name}: metrics");
+            assert_eq!(replayed.to_string(), folded.to_string(), "{name}: profile");
+            assert!(
+                replayed.timeline_len() > 0,
+                "{name}: replay lost its timeline"
+            );
+            assert_eq!(
+                folded.timeline_len(),
+                0,
+                "{name}: timeline-free fold kept one"
+            );
+        }
+    }
 }

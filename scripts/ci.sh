@@ -176,6 +176,16 @@ else
   echo "   BENCH_sweep.json OK (grep checks)"
 fi
 
+echo "==> perfbench correctness gate (paper-json, paper-check: pinned per-cell digests must match)"
+for workload in paper-json paper-check; do
+  result="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seconds 1 --trace 0 | tail -n 1)"
+  case "$result" in
+    *'"correct": true'*) echo "   perfbench $workload OK" ;;
+    *) echo "FAIL: perfbench $workload is not correct: $result"; exit 1 ;;
+  esac
+done
+
 echo "==> extra_scale --quick cache double-run (warm restore: >=90% hits, bit-identical cells)"
 CACHE_DIR="$(mktemp -d)"
 cargo run -q --release -p asym-bench --bin extra_scale -- \
