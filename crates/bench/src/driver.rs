@@ -304,7 +304,7 @@ pub fn run_sweeps(names: &[&str], args: &SweepArgs) -> ExitCode {
         }
     }
     eprintln!(
-        "[asym-sweep] {} cell(s) reused from the cross-spec memo (identical workload/config/policy/seed)",
+        "[asym-sweep] {} cell(s) reused from an identical earlier cell (same cell key)",
         report.memoized_cells()
     );
     if let Some(stats) = &report.cache {

@@ -29,7 +29,6 @@ use asym_workloads::specjbb::{GcKind, JvmKind, SpecJbb};
 use asym_workloads::specomp::{OmpVariant, SpecOmp};
 use asym_workloads::tpch::TpcH;
 use asym_workloads::webserver::{Apache, LoadLevel, Zeus};
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// Context a spec expands under.
@@ -55,7 +54,8 @@ pub struct Section {
 
 impl Section {
     /// A clean section: `runs` repeats per configuration, seeds
-    /// `base_seed + j*1000 + i`, panics propagate.
+    /// `base_seed + j*1000 + i`; a run that does not complete fails the
+    /// sweep.
     pub fn clean(
         label: impl Into<String>,
         workload: Box<dyn Workload>,
@@ -1329,8 +1329,8 @@ fn mean(vals: impl Iterator<Item = f64>) -> Option<f64> {
 /// same-seed reruns must be bit-identical even with kills injected.
 fn same_seed_differential_reruns_match(config: AsymConfig) -> bool {
     let w = H264::new();
-    let a = run_experiment_differential(&w, &[config], &differential_opts(1).sequential());
-    let b = run_experiment_differential(&w, &[config], &differential_opts(1).sequential());
+    let a = run_experiment_differential(&w, &[config], &differential_opts(1));
+    let b = run_experiment_differential(&w, &[config], &differential_opts(1));
     a == b && a.count(RunClass::Completed) > 0
 }
 
@@ -1341,35 +1341,13 @@ fn extra_absorption(ctx: &SweepContext) -> SweepDef {
         AsymConfig::standard_nine()
     };
     let reps = if ctx.quick { 1 } else { 3 };
-    let mut sections = Vec::new();
-    // Per-workload, per-config sums of the `lost_workers` extras the
-    // workloads report — proof the kill cells completed *and* accounted
-    // for their victims rather than silently dropping them.
-    let mut losts: Vec<Arc<Mutex<BTreeMap<String, f64>>>> = Vec::new();
-    for w in paper_workloads() {
-        let lost: Arc<Mutex<BTreeMap<String, f64>>> = Arc::new(Mutex::new(BTreeMap::new()));
-        let opts = {
-            let lost = lost.clone();
-            differential_opts(reps).observe_traces(move |setup, result, _traces| {
-                if let Some(&n) = result.extras.get("lost_workers") {
-                    if n > 0.0 {
-                        *lost
-                            .lock()
-                            .unwrap()
-                            .entry(setup.config.to_string())
-                            .or_insert(0.0) += n;
-                    }
-                }
-            })
-        };
-        losts.push(lost);
-        sections.push(Section::differential(
-            format!("absorb/{}", w.name()),
-            w,
-            &configs,
-            opts,
-        ));
-    }
+    let sections = paper_workloads()
+        .into_iter()
+        .map(|w| {
+            let label = format!("absorb/{}", w.name());
+            Section::differential(label, w, &configs, differential_opts(reps))
+        })
+        .collect();
     let render = Box::new(move |results: &[SpecResult]| {
         let mut out = String::new();
         out += &header(
@@ -1411,11 +1389,10 @@ fn extra_absorption(ctx: &SweepContext) -> SweepDef {
         let mut all_classified = true;
         let mut total_panicked = 0usize;
         let mut total_lost = 0.0f64;
-        for (r, lost) in results.iter().zip(&losts) {
+        for r in results {
             let exp = r.differential();
             all_classified &= exp.total_runs() == configs.len() * reps * 4;
             total_panicked += exp.count(RunClass::Panicked);
-            let lost = lost.lock().unwrap();
             for o in &exp.outcomes {
                 let s_stock = mean(
                     o.reps
@@ -1427,7 +1404,15 @@ fn extra_absorption(ctx: &SweepContext) -> SweepDef {
                         .iter()
                         .filter_map(|rep| rep.aware_slowdown(exp.direction)),
                 );
-                let cell_lost = lost.get(&o.config.to_string()).copied().unwrap_or(0.0);
+                // The `lost_workers` extras the legs report — proof the
+                // kill cells completed *and* accounted for their victims
+                // rather than silently dropping them.
+                let cell_lost: f64 = o
+                    .reps
+                    .iter()
+                    .flat_map(|rep| rep.records())
+                    .filter_map(|leg| leg.extra("lost_workers"))
+                    .sum();
                 total_lost += cell_lost;
                 table.row(vec![
                     exp.workload.clone(),
@@ -1516,7 +1501,7 @@ fn dynamic_opts(reps: usize, profile: EnvironmentProfile) -> ResilientOptions {
 fn same_seed_dynamic_reruns_match(config: AsymConfig) -> bool {
     let w = H264::new();
     let profile = EnvironmentProfile::combined(FAULT_HORIZON);
-    let run = || run_experiment_differential(&w, &[config], &dynamic_opts(1, profile).sequential());
+    let run = || run_experiment_differential(&w, &[config], &dynamic_opts(1, profile));
     let (a, b) = (run(), run());
     a == b && a.count(RunClass::Completed) > 0
 }

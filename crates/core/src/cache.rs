@@ -24,7 +24,7 @@
 //! fanned out over 256 subdirectories by the top byte of the key
 //! digest so million-cell sweeps do not melt a single directory.
 
-use crate::experiment::RunClass;
+use crate::experiment::{RunClass, RunRecord};
 use asym_obs::{Log2Histogram, ProfileMetrics, HIST_BUCKETS};
 use asym_sim::StableHasher;
 use std::fmt::Write as _;
@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Format tag on the first line of every entry; bump it to orphan all
 /// existing entries when the entry layout itself changes.
-const MAGIC: &str = "asym-cell-cache v1";
+const MAGIC: &str = "asym-cell-cache v2";
 
 /// Counters of one plan run's cache traffic, reported in the sweep
 /// summary and the JSON sink.
@@ -71,19 +71,9 @@ impl CacheStats {
 /// needs to rebuild the cell outcome without running the simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CellEntry {
-    /// Harness mode name (`clean` or `resilient`).
-    pub(crate) mode: String,
-    /// Final classification.
-    pub(crate) class: RunClass,
-    /// Attempts spent, retries included.
-    pub(crate) attempts: u32,
-    /// The seed of the recorded attempt (differs from the cell's base
-    /// seed when resilient retries reseeded).
-    pub(crate) seed: u64,
-    /// Primary metric, absent for failed resilient cells.
-    pub(crate) value: Option<f64>,
-    /// Named secondary metrics (clean cells only), in stored order.
-    pub(crate) extras: Vec<(String, f64)>,
+    /// The cell's run record: seed of the recorded attempt, attempts,
+    /// class, value, and extras.
+    pub(crate) record: RunRecord,
     /// Folded kernel-trace hash of the final attempt.
     pub(crate) trace_hash: Option<u64>,
     /// Merged observability metrics, when the writing run wanted them.
@@ -205,14 +195,14 @@ fn render_entry(fingerprint: &str, key: &str, e: &CellEntry) -> String {
     let _ = writeln!(out, "{MAGIC}");
     let _ = writeln!(out, "fingerprint {fingerprint}");
     let _ = writeln!(out, "key {key}");
-    let _ = writeln!(out, "mode {}", e.mode);
-    let _ = writeln!(out, "class {}", e.class);
-    let _ = writeln!(out, "attempts {}", e.attempts);
-    let _ = writeln!(out, "seed {}", e.seed);
-    let _ = writeln!(out, "value {}", render_f64(e.value));
+    let r = &e.record;
+    let _ = writeln!(out, "class {}", r.class);
+    let _ = writeln!(out, "attempts {}", r.attempts);
+    let _ = writeln!(out, "seed {}", r.seed);
+    let _ = writeln!(out, "value {}", render_f64(r.value));
     let _ = writeln!(out, "trace_hash {}", render_u64(e.trace_hash));
-    let _ = writeln!(out, "extras {}", e.extras.len());
-    for (name, v) in &e.extras {
+    let _ = writeln!(out, "extras {}", r.extras.len());
+    for (name, v) in &r.extras {
         // The name goes last so it may contain spaces.
         let _ = writeln!(out, "x {:016x} {name}", v.to_bits());
     }
@@ -283,7 +273,6 @@ fn parse_entry(text: &str, expect_key: &str) -> Option<(String, CellEntry)> {
     if field(lines.next()?, "key")? != expect_key {
         return None;
     }
-    let mode = field(lines.next()?, "mode")?.to_string();
     let class = parse_class(field(lines.next()?, "class")?)?;
     let attempts: u32 = field(lines.next()?, "attempts")?.parse().ok()?;
     let seed: u64 = field(lines.next()?, "seed")?.parse().ok()?;
@@ -336,12 +325,13 @@ fn parse_entry(text: &str, expect_key: &str) -> Option<(String, CellEntry)> {
     Some((
         fingerprint,
         CellEntry {
-            mode,
-            class,
-            attempts,
-            seed,
-            value,
-            extras,
+            record: RunRecord {
+                seed,
+                attempts,
+                class,
+                value,
+                extras,
+            },
             trace_hash,
             metrics,
         },
@@ -420,15 +410,16 @@ mod tests {
             m
         });
         CellEntry {
-            mode: "resilient".to_string(),
-            class: RunClass::TimeLimit,
-            attempts: 3,
-            seed: 42_007,
-            value: Some(-0.0625),
-            extras: vec![
-                ("p90 latency".to_string(), 1.5),
-                ("nan".to_string(), f64::NAN),
-            ],
+            record: RunRecord {
+                seed: 42_007,
+                attempts: 3,
+                class: RunClass::TimeLimit,
+                value: Some(-0.0625),
+                extras: vec![
+                    ("nan".to_string(), f64::NAN),
+                    ("p90 latency".to_string(), 1.5),
+                ],
+            },
             trace_hash: Some(0xdead_beef_cafe_f00d),
             metrics,
         }
@@ -442,16 +433,16 @@ mod tests {
         cache.store(key, &entry).expect("store succeeds");
         match cache.load(key, true) {
             Lookup::Hit(got) => {
-                assert_eq!(got.mode, entry.mode);
-                assert_eq!(got.class, entry.class);
-                assert_eq!(got.attempts, entry.attempts);
-                assert_eq!(got.seed, entry.seed);
-                assert_eq!(got.value.map(f64::to_bits), entry.value.map(f64::to_bits));
+                let (r, want) = (&got.record, &entry.record);
+                assert_eq!(r.class, want.class);
+                assert_eq!(r.attempts, want.attempts);
+                assert_eq!(r.seed, want.seed);
+                assert_eq!(r.value.map(f64::to_bits), want.value.map(f64::to_bits));
                 assert_eq!(got.trace_hash, entry.trace_hash);
-                assert_eq!(got.extras.len(), 2);
-                assert_eq!(got.extras[0], entry.extras[0]);
-                assert_eq!(got.extras[1].0, "nan");
-                assert!(got.extras[1].1.is_nan());
+                assert_eq!(r.extras.len(), 2);
+                assert_eq!(r.extras[0].0, "nan");
+                assert!(r.extras[0].1.is_nan());
+                assert_eq!(r.extras[1], want.extras[1]);
                 assert_eq!(got.metrics, entry.metrics);
             }
             other => panic!("expected hit, got {other:?}"),

@@ -3,18 +3,22 @@
 //! Every figure of the paper is a sweep over (workload × configuration ×
 //! policy × seed) cells, and each cell is an independent,
 //! seed-deterministic simulation. This module makes that the unit of
-//! execution: an [`ExperimentPlan`] expands any sweep — clean,
-//! resilient, or differential — into a flat list of [`Cell`]s with
-//! precomputed seeds and fault plans, and a [`CellRunner`] executes the
-//! cells on a host thread pool (size controlled by `--jobs` flags or
-//! the `ASYM_JOBS` environment variable, defaulting to
-//! `available_parallelism`) and reassembles results in deterministic
-//! plan order, so parallel output is bit-identical to serial.
+//! execution: an [`ExperimentPlan`] expands any sweep into a flat list
+//! of [`Cell`]s with precomputed seeds and fault plans, and a
+//! [`CellRunner`] executes the cells on a host thread pool (size
+//! controlled by `--jobs` flags or the `ASYM_JOBS` environment variable,
+//! defaulting to `available_parallelism`) and reassembles results in
+//! deterministic plan order, so parallel output is bit-identical to
+//! serial.
 //!
-//! The legacy entry points ([`run_experiment`](crate::run_experiment),
-//! [`run_experiment_resilient`](crate::run_experiment_resilient),
-//! [`run_experiment_differential`](crate::run_experiment_differential))
-//! are thin wrappers over this engine.
+//! There is one cell pipeline. A cell's [`SpecMode`] lowers it into
+//! *legs* — one for clean and resilient cells, four (stock/aware ×
+//! undisturbed/disturbed) for differential cells — and every leg runs
+//! through the same guarded, classified retry loop, producing one
+//! [`RunRecord`]. Clean mode is that loop with no retries and an empty
+//! guard. Cells are deduplicated and cached under one key: the first
+//! cell with a given key executes (or is restored from the on-disk
+//! [`CellCache`]), and later cells with the same key copy its outcome.
 //!
 //! Alongside the assembled experiment results, every run of a plan
 //! produces a [`SweepReport`]: per-cell wall-clock timings, retry
@@ -27,7 +31,7 @@ use crate::config::AsymConfig;
 use crate::experiment::{
     ConfigOutcome, DifferentialConfigOutcome, DifferentialExperiment, DifferentialRep, Experiment,
     ExperimentOptions, ResilientConfigOutcome, ResilientExperiment, ResilientOptions, RunClass,
-    RunRecord,
+    RunObserver, RunRecord,
 };
 use crate::metrics::Samples;
 use crate::workload::{RunResult, RunSetup, Workload};
@@ -37,10 +41,13 @@ use asym_kernel::{
 };
 use asym_obs::{metrics_of_traces, DiffAttribution, ProfileFold, ProfileMetrics};
 use asym_sim::{EnvironmentPlan, FaultPlan, MachineSpec, SimDuration, SimTime, StableHasher};
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::{self, Write as _};
+use std::hash::{BuildHasherDefault, Hash, Hasher as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 // ----------------------------------------------------------------------
@@ -73,16 +80,14 @@ pub fn default_jobs() -> usize {
 
 /// How one experiment in a plan executes its cells: which harness
 /// semantics (clean / resilient / differential) and with what options.
-///
-/// The `parallel` flag inside the options is ignored here — host
-/// parallelism is the [`CellRunner`]'s business, not the experiment's.
 #[derive(Clone)]
 pub enum SpecMode {
-    /// The clean harness: one plain run per cell, panics propagate.
+    /// The clean harness: one run per cell, no guard, no retries; a run
+    /// that does not complete fails the sweep.
     Clean {
         /// Scheduling policy for every run.
         policy: SchedPolicy,
-        /// Runs per configuration, base seed, optional observer.
+        /// Runs per configuration and base seed.
         options: ExperimentOptions,
     },
     /// The resilient harness: guarded, classified, adaptively retried
@@ -102,6 +107,11 @@ pub enum SpecMode {
     },
 }
 
+/// The options clean cells run their single leg under: no retries, no
+/// watchdog, no budget, no plans, no observer — an empty, inert
+/// [`RunGuard`].
+static CLEAN: ResilientOptions = ResilientOptions::new(1).retries(0);
+
 impl SpecMode {
     /// Short machine-readable mode name (used in the JSON sink).
     pub fn name(&self) -> &'static str {
@@ -112,30 +122,19 @@ impl SpecMode {
         }
     }
 
-    fn runs(&self) -> usize {
+    /// The options every leg's guard and retry ladder read.
+    fn leg_options(&self) -> &ResilientOptions {
         match self {
-            SpecMode::Clean { options, .. } => options.runs,
-            SpecMode::Resilient { options, .. } | SpecMode::Differential { options } => {
-                options.runs
-            }
+            SpecMode::Clean { .. } => &CLEAN,
+            SpecMode::Resilient { options, .. } | SpecMode::Differential { options } => options,
         }
     }
 
-    fn base_seed(&self) -> u64 {
+    /// Runs per configuration and the base seed.
+    fn slots(&self) -> (usize, u64) {
         match self {
-            SpecMode::Clean { options, .. } => options.base_seed,
-            SpecMode::Resilient { options, .. } | SpecMode::Differential { options } => {
-                options.base_seed
-            }
-        }
-    }
-
-    /// The policy recorded per cell: the run policy, or the canonical
-    /// stock policy for differential cells (which run both).
-    fn cell_policy(&self) -> SchedPolicy {
-        match self {
-            SpecMode::Clean { policy, .. } | SpecMode::Resilient { policy, .. } => *policy,
-            SpecMode::Differential { .. } => SchedPolicy::os_default(),
+            SpecMode::Clean { options, .. } => (options.runs, options.base_seed),
+            _ => (self.leg_options().runs, self.leg_options().base_seed),
         }
     }
 }
@@ -206,30 +205,27 @@ impl<'w> ExperimentPlan<'w> {
         configs: &[AsymConfig],
         mode: SpecMode,
     ) -> usize {
+        let (runs, base_seed) = mode.slots();
         assert!(!configs.is_empty(), "need at least one configuration");
-        assert!(mode.runs() > 0, "need at least one run");
+        assert!(runs > 0, "need at least one run");
         let index = self.specs.len();
-        let runs = mode.runs();
-        let base_seed = mode.base_seed();
-        let policy = mode.cell_policy();
-        let (planner, env_planner) = match &mode {
-            SpecMode::Clean { .. } => (None, None),
-            SpecMode::Resilient { options, .. } | SpecMode::Differential { options } => {
-                (options.planner.clone(), options.env_planner.clone())
-            }
+        // The policy recorded per cell: the run policy, or the canonical
+        // stock policy for differential cells (which run both).
+        let policy = match &mode {
+            SpecMode::Clean { policy, .. } | SpecMode::Resilient { policy, .. } => *policy,
+            SpecMode::Differential { .. } => SchedPolicy::os_default(),
         };
+        let options = mode.leg_options();
         for (j, &config) in configs.iter().enumerate() {
             for i in 0..runs {
                 let setup = RunSetup::new(config, policy, base_seed + j as u64 * 1000 + i as u64);
-                let fault_plan = planner.as_ref().map(|p| p(&setup));
-                let environment = env_planner.as_ref().map(|p| p(&setup));
                 self.cells.push(Cell {
                     spec: index,
                     config_index: j,
                     rep: i,
                     setup,
-                    fault_plan,
-                    environment,
+                    fault_plan: options.planner.as_ref().map(|p| p(&setup)),
+                    environment: options.env_planner.as_ref().map(|p| p(&setup)),
                 });
             }
         }
@@ -251,52 +247,90 @@ impl<'w> ExperimentPlan<'w> {
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty()
     }
-
-    /// Cross-spec cell memoization map: for each cell, the index of the
-    /// earlier identical cell whose outcome can be reused (`None` for
-    /// cells that must execute).
-    ///
-    /// Two cells are identical when they run workloads with equal
-    /// [`Workload::spec_key`]s under the same (config, policy, seed).
-    /// Only observer-free clean cells participate: observers are side
-    /// effects that must fire once per *requested* run, resilient
-    /// retry/fault options alter execution, and differential cells run
-    /// four policies internally. Deduplicated plans produce bit-identical
-    /// results because every participating run is a pure function of
-    /// (spec key, setup).
-    pub fn memo_targets(&self) -> Vec<Option<usize>> {
-        use std::collections::hash_map::Entry;
-        use std::collections::HashMap;
-        let mut first: HashMap<(String, AsymConfig, SchedPolicy, u64), usize> = HashMap::new();
-        let mut dup = vec![None; self.cells.len()];
-        for (i, cell) in self.cells.iter().enumerate() {
-            let spec = &self.specs[cell.spec];
-            let memoizable = matches!(
-                &spec.mode,
-                SpecMode::Clean { options, .. } if options.observer.is_none()
-            );
-            if !memoizable {
-                continue;
-            }
-            let key = (
-                spec.workload.spec_key(),
-                cell.setup.config,
-                cell.setup.policy,
-                cell.setup.seed,
-            );
-            match first.entry(key) {
-                Entry::Occupied(e) => dup[i] = Some(*e.get()),
-                Entry::Vacant(v) => {
-                    v.insert(i);
-                }
-            }
-        }
-        dup
-    }
 }
 
 // ----------------------------------------------------------------------
-// Cell execution
+// Cell keys: one for in-plan dedup and the on-disk cache
+// ----------------------------------------------------------------------
+
+/// The content address of one cell: every input that can steer its
+/// execution. Equal keys mean equal outcomes, so the first cell with a
+/// key stands for every later one — in the plan (in-plan dedup) and on
+/// disk (the [`CellCache`] entry is addressed by the key's rendering).
+#[derive(PartialEq, Eq, Hash)]
+struct CellKey<'a> {
+    /// The workload's [`Workload::spec_key`].
+    spec: &'a str,
+    config: AsymConfig,
+    policy: SchedPolicy,
+    seed: u64,
+    mode: &'static str,
+    /// [`StableHasher`] digests of the precomputed fault and environment
+    /// plans.
+    faults: Option<u64>,
+    environment: Option<u64>,
+    /// Resilient cells: the retries, budget, and watchdog the retry
+    /// ladder reads.
+    knobs: Option<(u32, Option<SimDuration>, Option<SimDuration>)>,
+}
+
+impl fmt::Display for CellKey<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "spec={}|config={}|policy={}|seed={}|mode={}",
+            self.spec, self.config, self.policy, self.seed, self.mode
+        )?;
+        for (name, digest) in [("faults", self.faults), ("env", self.environment)] {
+            match digest {
+                Some(d) => write!(f, "|{name}={d:016x}")?,
+                None => write!(f, "|{name}=none")?,
+            }
+        }
+        if let Some((retries, budget, watchdog)) = self.knobs {
+            let nanos =
+                |d: Option<SimDuration>| d.map_or("none".into(), |d| d.as_nanos().to_string());
+            let (budget, watchdog) = (nanos(budget), nanos(watchdog));
+            write!(f, "|retries={retries}|budget={budget}|watchdog={watchdog}")?;
+        }
+        Ok(())
+    }
+}
+
+/// The [`StableHasher`] digest of a fault or environment plan.
+fn plan_digest(plan: &impl Hash) -> u64 {
+    let mut h = StableHasher::new();
+    plan.hash(&mut h);
+    h.finish()
+}
+
+/// The key of one cell, or `None` when the cell is never deduplicated
+/// or cached: cells with a trace observer — the observer must see every
+/// requested run — and differential cells, whose four legs are paired
+/// in one cell. `spec_key` is the owning spec's
+/// [`Workload::spec_key`], rendered once per spec.
+fn cache_key<'a>(spec: &PlanSpec<'_>, spec_key: &'a str, cell: &Cell) -> Option<CellKey<'a>> {
+    let knobs = match &spec.mode {
+        SpecMode::Clean { .. } => None,
+        SpecMode::Resilient { options, .. } if options.observer.is_none() => {
+            Some((options.retries, options.sim_time_budget, options.watchdog))
+        }
+        _ => return None,
+    };
+    Some(CellKey {
+        spec: spec_key,
+        config: cell.setup.config,
+        policy: cell.setup.policy,
+        seed: cell.setup.seed,
+        mode: spec.mode.name(),
+        faults: cell.fault_plan.as_ref().map(plan_digest),
+        environment: cell.environment.as_ref().map(plan_digest),
+        knobs,
+    })
+}
+
+// ----------------------------------------------------------------------
+// Cell execution: legs, attempts, and the retry ladder
 // ----------------------------------------------------------------------
 
 /// Stride between retry seeds: a prime far from the `j * 1000 + i` seed
@@ -317,19 +351,46 @@ pub type TraceCheck = Arc<dyn Fn(&[asym_kernel::KernelTrace]) -> Vec<String> + S
 /// What one executed cell produced, before reassembly.
 #[derive(Clone)]
 struct CellOutcome {
-    data: CellData,
-    class: RunClass,
-    attempts: u32,
+    /// One record per leg, in leg order: one for clean and resilient
+    /// cells, four for differential cells.
+    legs: Vec<RunRecord>,
+    /// Differential cells: the attribution between the disturbed legs.
+    diff: Option<DiffAttribution>,
+    /// The primary metric: the leg's value, or a differential cell's
+    /// absorption.
     value: Option<f64>,
-    trace_hash: Option<u64>,
-    metrics: Option<ProfileMetrics>,
-    violations: Vec<String>,
+    /// Trace hash, metrics, and check findings of the final attempt(s).
+    facts: TraceFacts,
     wall_nanos: u64,
     memoized: bool,
     cached: bool,
 }
 
 impl CellOutcome {
+    /// A freshly executed outcome.
+    fn new(
+        legs: Vec<RunRecord>,
+        value: Option<f64>,
+        diff: Option<DiffAttribution>,
+        facts: TraceFacts,
+    ) -> Self {
+        CellOutcome {
+            legs,
+            diff,
+            value,
+            facts,
+            wall_nanos: 0,
+            memoized: false,
+            cached: false,
+        }
+    }
+
+    /// The record of a single-leg cell.
+    fn into_record(self) -> RunRecord {
+        let [record]: [RunRecord; 1] = self.legs.try_into().expect("a single-leg cell");
+        record
+    }
+
     /// The copy stored for a deduplicated cell: same results, but marked
     /// memoized and charged zero wall-clock (no host time was spent).
     /// The `cached` flag carries over — a copy of a cache hit is itself
@@ -341,66 +402,29 @@ impl CellOutcome {
         copy
     }
 
-    /// The on-disk cache payload for this outcome.
-    fn to_entry(&self, mode: &'static str) -> CellEntry {
-        let (seed, extras) = match &self.data {
-            CellData::Clean(r) => (
-                0,
-                r.extras
-                    .iter()
-                    .map(|(k, v)| (k.clone(), *v))
-                    .collect::<Vec<_>>(),
-            ),
-            CellData::Resilient(r) => (r.seed, Vec::new()),
-            CellData::Differential(_) => unreachable!("differential cells are never cached"),
-        };
+    /// The on-disk cache payload of a single-leg cell.
+    fn to_entry(&self) -> CellEntry {
         CellEntry {
-            mode: mode.to_string(),
-            class: self.class,
-            attempts: self.attempts,
-            seed,
-            value: self.value,
-            extras,
-            trace_hash: self.trace_hash,
-            metrics: self.metrics.clone(),
+            record: self.legs[0].clone(),
+            trace_hash: self.facts.hash,
+            metrics: self.facts.metrics.as_deref().cloned(),
         }
     }
 
     /// Rebuilds an outcome from a cache entry — the inverse of
     /// [`CellOutcome::to_entry`].
     fn from_entry(e: CellEntry) -> CellOutcome {
-        let data = if e.mode == "clean" {
-            let mut result = RunResult::new(e.value.unwrap_or(f64::NAN));
-            result.extras = e.extras.into_iter().collect();
-            CellData::Clean(result)
-        } else {
-            CellData::Resilient(RunRecord {
-                seed: e.seed,
-                attempts: e.attempts,
-                class: e.class,
-                value: e.value,
-            })
-        };
-        CellOutcome {
-            data,
-            class: e.class,
-            attempts: e.attempts,
-            value: e.value,
-            trace_hash: e.trace_hash,
-            metrics: e.metrics,
+        let facts = TraceFacts {
+            hash: e.trace_hash,
+            metrics: e.metrics.map(Box::new),
             violations: Vec::new(),
-            wall_nanos: 0,
-            memoized: false,
+        };
+        let value = e.record.value;
+        CellOutcome {
             cached: true,
+            ..CellOutcome::new(vec![e.record], value, None, facts)
         }
     }
-}
-
-#[derive(Clone)]
-enum CellData {
-    Clean(RunResult),
-    Resilient(RunRecord),
-    Differential(DifferentialRep),
 }
 
 /// Classifies one kernel's ending. A `TimeLimit` outcome only fails the
@@ -507,66 +531,48 @@ pub(crate) fn soften_plan(plan: FaultPlan, level: u32) -> Option<FaultPlan> {
     }
 }
 
-/// The disturbances one attempt runs under: the discrete fault plan
-/// (already softened as the retry ladder demands) plus the continuous
-/// environment plan (never softened).
-struct Disturbance {
-    faults: Option<FaultPlan>,
-    environment: Option<EnvironmentPlan>,
+/// What the trace consumers derived from one attempt.
+#[derive(Clone, Default)]
+struct TraceFacts {
+    /// Folded trace hash; absent when the attempt panicked.
+    hash: Option<u64>,
+    /// Merged metrics of every kernel, when wanted and not panicked
+    /// (boxed: outcomes wait in per-cell slots, so their size counts).
+    metrics: Option<Box<ProfileMetrics>>,
+    /// The trace check's findings.
+    violations: Vec<String>,
 }
 
-/// One guarded, trace-captured, panic-contained attempt. `budget_factor`
-/// scales the configured sim-time budget (escalated retries). Returns
-/// the classification, the metric (when completed), the folded trace
-/// hash (absent when the attempt panicked), the configured trace
-/// check's findings, and — when `want_metrics` is set — the merged
-/// observability metrics of every kernel the attempt created.
-#[allow(clippy::type_complexity)]
+/// One guarded, trace-captured, panic-contained attempt. Returns the
+/// classification, the workload's result (absent when it panicked),
+/// and what the trace consumers derived.
 fn attempt_run(
     workload: &dyn Workload,
     setup: &RunSetup,
-    options: &ResilientOptions,
-    budget_factor: u32,
-    disturbance: Disturbance,
+    guard: RunGuard,
+    observer: Option<&RunObserver>,
     want_metrics: bool,
     check: Option<&TraceCheck>,
-) -> (
-    RunClass,
-    Option<f64>,
-    Option<u64>,
-    Option<ProfileMetrics>,
-    Vec<String>,
-) {
-    let mut guard = RunGuard::new();
-    if let Some(w) = options.watchdog {
-        guard = guard.watchdog(w);
-    }
-    if let Some(b) = options.sim_time_budget {
-        guard = guard.sim_time_budget(SimDuration::from_nanos(
-            b.as_nanos().saturating_mul(u64::from(budget_factor)),
-        ));
-    }
-    if let Some(plan) = disturbance.faults {
-        guard = guard.fault_plan(plan);
-    }
-    if let Some(env) = disturbance.environment {
-        guard = guard.environment(env);
-    }
+) -> (RunClass, Option<RunResult>, TraceFacts) {
     // The streaming fast path: nothing downstream needs the full event
     // stream, so fold hash/metrics incrementally and never materialize
     // a trace. Observers and trace checks are handed real traces, so
     // they keep the buffered path.
-    if check.is_none() && options.observer.is_none() {
+    if check.is_none() && observer.is_none() {
         let caught = catch_unwind(AssertUnwindSafe(|| {
             run_streamed(want_metrics, || {
                 with_run_guard(guard, || workload.run(setup))
             })
         }));
         return match caught {
-            Err(_) => (RunClass::Panicked, None, None, None, Vec::new()),
+            Err(_) => (RunClass::Panicked, None, TraceFacts::default()),
             Ok((result, class, hash, metrics)) => {
-                let value = (class == RunClass::Completed).then_some(result.value);
-                (class, value, Some(hash), metrics, Vec::new())
+                let facts = TraceFacts {
+                    hash: Some(hash),
+                    metrics: metrics.map(Box::new),
+                    violations: Vec::new(),
+                };
+                (class, Some(result), facts)
             }
         };
     }
@@ -574,358 +580,153 @@ fn attempt_run(
         capture_traces(|| with_run_guard(guard, || workload.run(setup)))
     }));
     match caught {
-        Err(_) => (RunClass::Panicked, None, None, None, Vec::new()),
+        Err(_) => (RunClass::Panicked, None, TraceFacts::default()),
         Ok((result, traces)) => {
-            if let Some(obs) = &options.observer {
+            if let Some(obs) = observer {
                 obs(setup, &result, &traces);
             }
-            let class = classify_traces(&traces);
-            let value = (class == RunClass::Completed).then_some(result.value);
-            let metrics = want_metrics.then(|| metrics_of_traces(&traces));
-            let violations = check.map_or_else(Vec::new, |c| c(&traces));
-            (
-                class,
-                value,
-                Some(fold_trace_hashes(&traces)),
-                metrics,
-                violations,
-            )
+            let facts = TraceFacts {
+                hash: Some(fold_trace_hashes(&traces)),
+                metrics: want_metrics.then(|| Box::new(metrics_of_traces(&traces))),
+                violations: check.map_or_else(Vec::new, |c| c(&traces)),
+            };
+            (classify_traces(&traces), Some(result), facts)
         }
     }
 }
 
-/// Executes one clean cell: a single trace-captured run, no guard, no
-/// retries; panics propagate to the runner (and out of the pool).
-fn exec_clean(
-    workload: &dyn Workload,
-    cell: &Cell,
-    options: &ExperimentOptions,
-    want_metrics: bool,
-    check: Option<&TraceCheck>,
-) -> CellOutcome {
-    if check.is_none() && options.observer.is_none() {
-        // Streaming fast path (see `run_streamed`). Clean cells are
-        // classified `Completed` unconditionally, exactly like the
-        // buffered path below.
-        let (result, _class, hash, metrics) =
-            run_streamed(want_metrics, || workload.run(&cell.setup));
-        let value = Some(result.value);
-        return CellOutcome {
-            data: CellData::Clean(result),
-            class: RunClass::Completed,
-            attempts: 1,
-            value,
-            trace_hash: Some(hash),
-            metrics,
-            violations: Vec::new(),
-            wall_nanos: 0,
-            memoized: false,
-            cached: false,
-        };
-    }
-    let (result, traces) = capture_traces(|| workload.run(&cell.setup));
-    if let Some(obs) = &options.observer {
-        obs(&cell.setup, &result, &traces);
-    }
-    let hash = fold_trace_hashes(&traces);
-    let metrics = want_metrics.then(|| metrics_of_traces(&traces));
-    let violations = check.map_or_else(Vec::new, |c| c(&traces));
-    let value = Some(result.value);
-    CellOutcome {
-        data: CellData::Clean(result),
-        class: RunClass::Completed,
-        attempts: 1,
-        value,
-        trace_hash: Some(hash),
-        metrics,
-        violations,
-        wall_nanos: 0,
-        memoized: false,
-        cached: false,
+/// How a failed attempt changes the next one.
+enum Escalation {
+    /// Same seed, twice the sim-time budget (capped at
+    /// [`MAX_BUDGET_FACTOR`]×).
+    DoubleBudget,
+    /// Same seed, one rung softer fault plan (see [`soften_plan`]).
+    Soften,
+    /// A fresh seed (stride [`RETRY_SEED_STRIDE`]), with the plans
+    /// re-derived from it.
+    Reseed,
+}
+
+/// The retry ladder: how an attempt that ended in `class` escalates, or
+/// `None` when the leg stops here.
+///
+/// * [`RunClass::TimeLimit`] — the run was legitimate but slow (faults
+///   can stretch a run well past its clean duration): double the budget
+///   on the same seed.
+/// * [`RunClass::Stalled`] — the fault schedule drove the workload into
+///   a livelock: soften the fault plan on the same seed.
+/// * [`RunClass::Deadlock`] / [`RunClass::Panicked`] — wedged in a way
+///   no budget or fault change explains: reseed.
+///
+/// Paired (differential) legs must keep the seed and plan their twins
+/// ran, so they only ever double a budget still below the cap; any
+/// other failure is recorded as-is.
+fn escalation(class: RunClass, paired: bool, budget_factor: u32) -> Option<Escalation> {
+    match class {
+        RunClass::Completed => None,
+        RunClass::TimeLimit if !paired || budget_factor < MAX_BUDGET_FACTOR => {
+            Some(Escalation::DoubleBudget)
+        }
+        _ if paired => None,
+        RunClass::Stalled => Some(Escalation::Soften),
+        _ => Some(Escalation::Reseed),
     }
 }
 
-/// Executes one resilient cell: attempt, classify, retry on failure.
-///
-/// Retries escalate *adaptively* according to how the attempt failed,
-/// rather than blindly reseeding:
-///
-/// * [`RunClass::TimeLimit`] — the run was legitimate but slow (faults
-///   can stretch a run well past its clean duration). Retry the **same
-///   seed** with the sim-time budget doubled, up to
-///   [`MAX_BUDGET_FACTOR`]× the configured budget.
-/// * [`RunClass::Stalled`] — the fault schedule drove the workload into
-///   a livelock. Retry the **same seed** with a progressively softened
-///   fault plan: first without thread kills, then additionally without
-///   hotplug, then with no faults at all.
-/// * [`RunClass::Deadlock`] / [`RunClass::Panicked`] — the run is wedged
-///   in a way no budget or fault change explains; retry with a fresh
-///   seed (stride [`RETRY_SEED_STRIDE`]), re-deriving the fault plan
-///   from the new seed.
-fn exec_resilient(
-    workload: &dyn Workload,
+/// Runs one leg of `cell` — under `policy`, and under the cell's fault
+/// and environment plans when `disturbed` — through the retry ladder:
+/// attempt, classify, escalate, until the leg completes, the ladder
+/// stops it, or the spec's retries are spent. Differential legs are
+/// paired. Returns the final attempt's record and facts.
+fn run_leg(
+    spec: &PlanSpec<'_>,
     cell: &Cell,
-    options: &ResilientOptions,
+    policy: SchedPolicy,
+    disturbed: bool,
     want_metrics: bool,
     check: Option<&TraceCheck>,
-) -> CellOutcome {
-    let slot = &cell.setup;
+) -> (RunRecord, TraceFacts) {
+    let options = spec.mode.leg_options();
+    let paired = matches!(spec.mode, SpecMode::Differential { .. });
     let mut attempts = 0u32;
     let mut seed_bump = 0u64;
     let mut budget_factor = 1u32;
     let mut soften = 0u32;
     loop {
-        let setup = RunSetup::new(slot.config, slot.policy, slot.seed + seed_bump);
         attempts += 1;
-        // The first attempt reuses the plan precomputed at expansion;
-        // reseeded attempts re-derive it from the bumped seed, exactly
-        // as the serial harness did.
-        let full = if seed_bump == 0 {
-            cell.fault_plan.clone()
-        } else {
-            options.planner.as_ref().map(|p| p(&setup))
+        let setup = RunSetup::new(cell.setup.config, policy, cell.setup.seed + seed_bump);
+        // The first attempt reuses the plans precomputed at expansion;
+        // reseeded attempts re-derive them from the bumped seed.
+        // Environment plans are never softened: a hostile environment
+        // is the condition under test, not an injected defect.
+        let (faults, environment) = match (disturbed, seed_bump) {
+            (false, _) => (None, None),
+            (true, 0) => (cell.fault_plan.clone(), cell.environment.clone()),
+            (true, _) => (
+                options.planner.as_ref().map(|p| p(&setup)),
+                options.env_planner.as_ref().map(|p| p(&setup)),
+            ),
         };
-        let plan = full.and_then(|f| soften_plan(f, soften));
-        // Environment plans are never softened — a hostile environment
-        // is the condition under test, not an injected defect — but
-        // reseeded attempts re-derive them like fault plans.
-        let environment = if seed_bump == 0 {
-            cell.environment.clone()
-        } else {
-            options.env_planner.as_ref().map(|p| p(&setup))
-        };
-        let (class, value, hash, metrics, violations) = attempt_run(
-            workload,
-            &setup,
-            options,
-            budget_factor,
-            Disturbance {
-                faults: plan,
-                environment,
-            },
-            want_metrics,
-            check,
-        );
-        if class == RunClass::Completed || attempts > options.retries {
-            let record = RunRecord {
-                seed: setup.seed,
-                attempts,
-                class,
-                value,
-            };
-            return CellOutcome {
-                data: CellData::Resilient(record),
-                class,
-                attempts,
-                value,
-                trace_hash: hash,
-                metrics,
-                violations,
-                wall_nanos: 0,
-                memoized: false,
-                cached: false,
-            };
+        let mut guard = RunGuard::new();
+        if let Some(w) = options.watchdog {
+            guard = guard.watchdog(w);
         }
-        match class {
-            RunClass::TimeLimit => {
+        if let Some(b) = options.sim_time_budget {
+            guard = guard.sim_time_budget(SimDuration::from_nanos(
+                b.as_nanos().saturating_mul(u64::from(budget_factor)),
+            ));
+        }
+        if let Some(plan) = faults.and_then(|f| soften_plan(f, soften)) {
+            guard = guard.fault_plan(plan);
+        }
+        if let Some(env) = environment {
+            guard = guard.environment(env);
+        }
+        let observer = options.observer.as_ref();
+        let (class, result, facts) =
+            attempt_run(spec.workload, &setup, guard, observer, want_metrics, check);
+        let next = if attempts > options.retries {
+            None
+        } else {
+            escalation(class, paired, budget_factor)
+        };
+        match next {
+            None => {
+                let completed = class == RunClass::Completed;
+                let record = RunRecord {
+                    seed: setup.seed,
+                    attempts,
+                    class,
+                    value: result.as_ref().map(|r| r.value).filter(|_| completed),
+                    extras: result.map_or_else(Vec::new, |r| r.extras.into_iter().collect()),
+                };
+                return (record, facts);
+            }
+            Some(Escalation::DoubleBudget) => {
                 budget_factor = (budget_factor * 2).min(MAX_BUDGET_FACTOR);
             }
-            RunClass::Stalled => soften += 1,
-            _ => seed_bump += RETRY_SEED_STRIDE,
+            Some(Escalation::Soften) => soften += 1,
+            Some(Escalation::Reseed) => seed_bump += RETRY_SEED_STRIDE,
         }
     }
 }
 
-/// Executes one differential cell: four runs (stock/aware ×
-/// clean/faulted) from the cell's single seed and precomputed fault
-/// plan. Retries never reseed and never soften — that would break the
-/// pairing — the only escalation is budget doubling on
-/// [`RunClass::TimeLimit`].
-fn exec_differential(
-    workload: &dyn Workload,
-    cell: &Cell,
-    options: &ResilientOptions,
-    want_metrics: bool,
-    check: Option<&TraceCheck>,
-) -> CellOutcome {
-    let slot = &cell.setup;
-    let plan = cell.fault_plan.as_ref();
-    let environment = cell.environment.as_ref();
-    let mut fold = TraceHashFold::new();
-    let mut any_hash = false;
-    let mut merged = want_metrics.then(ProfileMetrics::new);
-    let mut all_violations: Vec<String> = Vec::new();
-    let mut run = |leg: &str,
-                   policy: SchedPolicy,
-                   plan: Option<&FaultPlan>,
-                   environment: Option<&EnvironmentPlan>|
-     -> (RunRecord, Option<ProfileMetrics>) {
-        let setup = RunSetup::new(slot.config, policy, slot.seed);
-        let mut attempts = 0u32;
-        let mut budget_factor = 1u32;
-        loop {
-            attempts += 1;
-            // Metrics are always derived for differential legs (not just
-            // under `with_metrics`): the per-cell diff attribution needs
-            // the two disturbed legs' metrics. Deriving them is a pure
-            // fold over the trace stream — it cannot perturb the run.
-            let (class, value, hash, metrics, violations) = attempt_run(
-                workload,
-                &setup,
-                options,
-                budget_factor,
-                Disturbance {
-                    faults: plan.cloned(),
-                    environment: environment.cloned(),
-                },
-                true,
-                check,
-            );
-            let escalatable = class == RunClass::TimeLimit && budget_factor < MAX_BUDGET_FACTOR;
-            if class == RunClass::Completed || attempts > options.retries || !escalatable {
-                if let Some(h) = hash {
-                    fold.push(h);
-                    any_hash = true;
-                }
-                if let (Some(acc), Some(m)) = (merged.as_mut(), metrics.as_ref()) {
-                    acc.merge(m);
-                }
-                all_violations.extend(violations.into_iter().map(|v| format!("{leg}: {v}")));
-                return (
-                    RunRecord {
-                        seed: setup.seed,
-                        attempts,
-                        class,
-                        value,
-                    },
-                    metrics,
-                );
-            }
-            budget_factor *= 2;
-        }
-    };
-    // Like the fault plan, the environment plan applies to the faulted
-    // legs only: the clean legs stay the undisturbed baseline, so the
-    // absorption metric quantifies how much of the *dynamic* slowdown
-    // the aware policy recovers.
-    let (stock_clean, _) = run("stock-clean", SchedPolicy::os_default(), None, None);
-    let (stock_faulted, stock_m) = run(
-        "stock-faulted",
-        SchedPolicy::os_default(),
-        plan,
-        environment,
-    );
-    let (aware_clean, _) = run("aware-clean", SchedPolicy::asymmetry_aware(), None, None);
-    let (aware_faulted, aware_m) = run(
-        "aware-faulted",
-        SchedPolicy::asymmetry_aware(),
-        plan,
-        environment,
-    );
-    let diff = match (&stock_m, &aware_m) {
-        (Some(a), Some(b)) => Some(DiffAttribution::from_metrics(a, b)),
-        _ => None,
-    };
-    let rep = DifferentialRep {
-        seed: slot.seed,
+/// Builds a differential repeat from its four legs, in leg order.
+fn differential_rep(legs: Vec<RunRecord>, diff: Option<DiffAttribution>) -> DifferentialRep {
+    let [stock_clean, stock_faulted, aware_clean, aware_faulted]: [RunRecord; 4] =
+        legs.try_into().expect("a differential cell has four legs");
+    DifferentialRep {
+        seed: stock_clean.seed,
         stock_clean,
         stock_faulted,
         aware_clean,
         aware_faulted,
         diff,
-    };
-    let class = rep
-        .records()
-        .iter()
-        .map(|r| r.class)
-        .max()
-        .unwrap_or(RunClass::Completed);
-    let attempts = rep.records().iter().map(|r| r.attempts).sum();
-    let value = rep.absorption(workload.direction());
-    let hash = any_hash.then(|| fold.finish());
-    CellOutcome {
-        data: CellData::Differential(rep),
-        class,
-        attempts,
-        value,
-        trace_hash: hash,
-        metrics: merged,
-        violations: all_violations,
-        wall_nanos: 0,
-        memoized: false,
-        cached: false,
     }
 }
 
-// ----------------------------------------------------------------------
-// Cache keying
-// ----------------------------------------------------------------------
-
-/// FNV-1a digest of a plan's `Debug` rendering — the compact stand-in
-/// for the full fault/environment plan inside a cache key.
-fn debug_digest(value: &impl std::fmt::Debug) -> u64 {
-    let mut h = StableHasher::new();
-    std::hash::Hash::hash(&format!("{value:?}"), &mut h);
-    std::hash::Hasher::finish(&h)
-}
-
-/// Renders the content-addressed cache key of one cell, or `None` when
-/// the cell is not cacheable.
-///
-/// Cacheable cells are observer-free clean and resilient cells (the
-/// caller additionally requires no runner-level trace check).
-/// Differential cells are excluded: their four-leg structure re-derives
-/// plans per leg, so a single digest cannot address them. The key folds
-/// in every input that can steer execution: the workload's
-/// [`Workload::spec_key`], configuration, policy, seed, harness mode,
-/// digests of the precomputed fault/environment plans, and — for
-/// resilient cells — the retry/budget/watchdog knobs the retry ladder
-/// reads.
-fn cache_key(spec: &PlanSpec<'_>, cell: &Cell) -> Option<String> {
-    let (mode, knobs) = match &spec.mode {
-        SpecMode::Clean { options, .. } => {
-            if options.observer.is_some() {
-                return None;
-            }
-            ("clean", String::new())
-        }
-        SpecMode::Resilient { options, .. } => {
-            if options.observer.is_some() {
-                return None;
-            }
-            let budget = options
-                .sim_time_budget
-                .map_or_else(|| "none".to_string(), |d| d.as_nanos().to_string());
-            let watchdog = options
-                .watchdog
-                .map_or_else(|| "none".to_string(), |d| d.as_nanos().to_string());
-            (
-                "resilient",
-                format!(
-                    "|retries={}|budget={budget}|watchdog={watchdog}",
-                    options.retries
-                ),
-            )
-        }
-        SpecMode::Differential { .. } => return None,
-    };
-    let faults = cell.fault_plan.as_ref().map_or_else(
-        || "none".to_string(),
-        |p| format!("{:016x}", debug_digest(p)),
-    );
-    let environment = cell.environment.as_ref().map_or_else(
-        || "none".to_string(),
-        |p| format!("{:016x}", debug_digest(p)),
-    );
-    Some(format!(
-        "spec={}|config={}|policy={}|seed={}|mode={mode}|faults={faults}|env={environment}{knobs}",
-        spec.workload.spec_key(),
-        cell.setup.config,
-        cell.setup.policy,
-        cell.setup.seed,
-    ))
-}
-
+/// Executes one cell: lowers its mode into legs, runs each leg through
+/// [`run_leg`], and folds the legs into the cell's outcome.
 fn exec_cell(
     spec: &PlanSpec<'_>,
     cell: &Cell,
@@ -933,16 +734,56 @@ fn exec_cell(
     check: Option<&TraceCheck>,
 ) -> CellOutcome {
     let start = Instant::now();
-    let mut out = match &spec.mode {
-        SpecMode::Clean { options, .. } => {
-            exec_clean(spec.workload, cell, options, want_metrics, check)
+    let mut out = if let SpecMode::Differential { .. } = spec.mode {
+        // Four runs from the cell's single seed: each policy once
+        // undisturbed and once under the cell's fault and environment
+        // plans, so the absorption metric quantifies how much of the
+        // disturbance the aware policy recovers.
+        let (stock, aware) = (SchedPolicy::os_default(), SchedPolicy::asymmetry_aware());
+        let legs = [
+            ("stock-clean", stock, false),
+            ("stock-faulted", stock, true),
+            ("aware-clean", aware, false),
+            ("aware-faulted", aware, true),
+        ];
+        let mut records = Vec::with_capacity(legs.len());
+        let mut fold = TraceHashFold::new();
+        let mut any_hash = false;
+        let mut merged = TraceFacts {
+            metrics: want_metrics.then(Box::default),
+            ..TraceFacts::default()
+        };
+        let mut disturbed_metrics = Vec::with_capacity(2);
+        for (name, policy, disturbed) in legs {
+            // Metrics are always derived for differential legs: the diff
+            // attribution needs the disturbed legs' metrics, and the
+            // fold is pure — it cannot perturb the run.
+            let (record, facts) = run_leg(spec, cell, policy, disturbed, true, check);
+            if let Some(h) = facts.hash {
+                fold.push(h);
+                any_hash = true;
+            }
+            if let (Some(acc), Some(m)) = (merged.metrics.as_mut(), facts.metrics.as_deref()) {
+                acc.merge(m);
+            }
+            if disturbed {
+                disturbed_metrics.push(facts.metrics);
+            }
+            let findings = facts.violations.into_iter().map(|v| format!("{name}: {v}"));
+            merged.violations.extend(findings);
+            records.push(record);
         }
-        SpecMode::Resilient { options, .. } => {
-            exec_resilient(spec.workload, cell, options, want_metrics, check)
-        }
-        SpecMode::Differential { options } => {
-            exec_differential(spec.workload, cell, options, want_metrics, check)
-        }
+        merged.hash = any_hash.then(|| fold.finish());
+        let diff = match disturbed_metrics.as_slice() {
+            [Some(a), Some(b)] => Some(DiffAttribution::from_metrics(a, b)),
+            _ => None,
+        };
+        let value = differential_rep(records.clone(), diff).absorption(spec.workload.direction());
+        CellOutcome::new(records, value, diff, merged)
+    } else {
+        let (record, facts) = run_leg(spec, cell, cell.setup.policy, true, want_metrics, check);
+        let value = record.value;
+        CellOutcome::new(vec![record], value, None, facts)
     };
     out.wall_nanos = start.elapsed().as_nanos() as u64;
     out
@@ -980,8 +821,8 @@ impl CellRunner {
     }
 
     /// Attaches a persistent on-disk cell cache: before executing,
-    /// every cacheable cell (observer-free clean/resilient cells, when
-    /// no trace check is installed) is looked up by its content
+    /// every keyed cell (clean cells and observer-free resilient cells,
+    /// when no trace check is installed) is looked up by its content
     /// address, and hits are restored without running the simulation.
     /// Misses execute normally and are stored afterwards. Hit, miss,
     /// skip, store, and invalidation counts land in
@@ -1018,6 +859,12 @@ impl CellRunner {
 
     /// Runs every cell of `plan` and reassembles per-spec results plus
     /// the structured [`SweepReport`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a clean cell did not complete (its workload panicked or
+    /// a kernel it created deadlocked, stalled, or ran out of budget):
+    /// a clean sample must be a real measurement.
     pub fn run(&self, plan: ExperimentPlan<'_>) -> PlanOutcome {
         let start = Instant::now();
         let (outcomes, cache) = self.run_cells(&plan);
@@ -1028,64 +875,86 @@ impl CellRunner {
         PlanOutcome { results, report }
     }
 
-    /// Executes all cells, preserving slot order. Cells the memoization
-    /// map proves identical to an earlier cell are never executed: the
-    /// primary's outcome is copied into their slot afterwards (marked
-    /// memoized, zero wall-clock). Because the primary is always the
-    /// *first* occurrence in plan order, copies are filled front to back
-    /// in one pass, in both the serial and the pooled path.
+    /// Executes all cells, preserving slot order.
     ///
-    /// When a [`CellCache`] is attached, a prepass on the calling thread
-    /// probes every cacheable cell and restores hits; only the remaining
-    /// cells execute, and a store pass afterwards persists what they
-    /// produced. Both passes stay off the pool, so cache I/O never
-    /// perturbs worker scheduling and the stats need no synchronization.
+    /// Every cell gets one key ([`cache_key`]); the first cell with a
+    /// given key is its *primary*. Later cells with the same key are
+    /// never executed: the primary's outcome is copied into their slot
+    /// afterwards (marked memoized, zero wall-clock). Because the
+    /// primary is always the *first* occurrence in plan order, copies
+    /// are filled front to back in one pass, whatever the pool size.
+    ///
+    /// When a [`CellCache`] is attached, each keyed primary is probed on
+    /// the calling thread as its key is computed, and hits are restored;
+    /// only the remaining cells execute, and a store pass afterwards
+    /// persists what they produced. Both passes stay off the pool, so
+    /// cache I/O never perturbs worker scheduling and the stats need no
+    /// synchronization.
     fn run_cells(&self, plan: &ExperimentPlan<'_>) -> (Vec<CellOutcome>, Option<CacheStats>) {
-        let cells = &plan.cells;
-        let dup_of = plan.memo_targets();
+        let spec_keys: Vec<String> = plan.specs.iter().map(|s| s.workload.spec_key()).collect();
+        let mut first: HashMap<CellKey<'_>, usize, BuildHasherDefault<StableHasher>> =
+            HashMap::with_capacity_and_hasher(plan.cells.len(), Default::default());
+        let mut primary_of = Vec::with_capacity(plan.cells.len());
+        let mut slots = Vec::with_capacity(plan.cells.len());
+        let mut todo = Vec::new();
         let mut stats = self.cache.as_ref().map(|_| CacheStats::default());
-        let mut preloaded: Vec<Option<CellOutcome>> = (0..cells.len()).map(|_| None).collect();
-        let mut store_keys: Vec<Option<String>> = (0..cells.len()).map(|_| None).collect();
-        if let (Some(cache), Some(st)) = (self.cache.as_ref(), stats.as_mut()) {
-            for (i, cell) in cells.iter().enumerate() {
-                if dup_of[i].is_some() {
-                    // Deduplicated copies come from their in-plan
-                    // primary, which is strictly cheaper than disk.
-                    continue;
+        let mut stores: Vec<(usize, String)> = Vec::new();
+        for (i, cell) in plan.cells.iter().enumerate() {
+            let key = cache_key(&plan.specs[cell.spec], &spec_keys[cell.spec], cell);
+            let (primary, rendered) = match key.map(|k| first.entry(k)) {
+                Some(Entry::Occupied(e)) => (Some(*e.get()), None),
+                Some(Entry::Vacant(v)) => {
+                    // A check's findings are not stored, so under a
+                    // check a hit could silently drop violations.
+                    let rendered =
+                        (self.cache.is_some() && self.check.is_none()).then(|| v.key().to_string());
+                    v.insert(i);
+                    (None, rendered)
                 }
-                let key = if self.check.is_none() {
-                    cache_key(&plan.specs[cell.spec], cell)
-                } else {
-                    None
-                };
-                let Some(key) = key else {
-                    st.skips += 1;
-                    continue;
-                };
-                match cache.load(&key, self.metrics) {
-                    Lookup::Hit(entry) => {
-                        st.hits += 1;
-                        preloaded[i] = Some(CellOutcome::from_entry(*entry));
-                    }
-                    Lookup::Stale => {
-                        st.invalidations += 1;
-                        store_keys[i] = Some(key);
-                    }
-                    Lookup::Miss => {
-                        st.misses += 1;
-                        store_keys[i] = Some(key);
-                    }
+                None => (None, None),
+            };
+            let mut restored = None;
+            if let (Some(cache), Some(st), None) = (&self.cache, stats.as_mut(), primary) {
+                match rendered {
+                    None => st.skips += 1,
+                    Some(key) => match cache.load(&key, self.metrics) {
+                        Lookup::Hit(entry) => {
+                            st.hits += 1;
+                            restored = Some(CellOutcome::from_entry(*entry));
+                        }
+                        Lookup::Stale => {
+                            st.invalidations += 1;
+                            stores.push((i, key));
+                        }
+                        Lookup::Miss => {
+                            st.misses += 1;
+                            stores.push((i, key));
+                        }
+                    },
                 }
             }
+            if primary.is_none() && restored.is_none() {
+                todo.push(i);
+            }
+            primary_of.push(primary);
+            slots.push(Mutex::new(restored));
         }
-        let outs = self.exec_cells(plan, &dup_of, preloaded);
-        if let (Some(cache), Some(st)) = (self.cache.as_ref(), stats.as_mut()) {
-            for (i, key) in store_keys.iter().enumerate() {
-                if let Some(key) = key {
-                    let mode = plan.specs[cells[i].spec].mode.name();
-                    if cache.store(key, &outs[i].to_entry(mode)).is_ok() {
-                        st.stores += 1;
-                    }
+        self.exec_cells(plan, &todo, &slots);
+        let mut outs: Vec<CellOutcome> = Vec::with_capacity(slots.len());
+        for (slot, primary) in slots.into_iter().zip(primary_of) {
+            let out = match primary {
+                Some(j) => outs[j].memoized_copy(),
+                None => slot
+                    .into_inner()
+                    .expect("cell slot poisoned")
+                    .expect("cell ran"),
+            };
+            outs.push(out);
+        }
+        if let (Some(cache), Some(st)) = (&self.cache, stats.as_mut()) {
+            for (i, key) in &stores {
+                if cache.store(key, &outs[*i].to_entry()).is_ok() {
+                    st.stores += 1;
                 }
             }
         }
@@ -1093,79 +962,37 @@ impl CellRunner {
     }
 
     /// The execution pass of [`run_cells`](CellRunner::run_cells):
-    /// runs every cell that is neither preloaded from the cache nor a
-    /// memoization copy, serially or on the pool.
+    /// executes the `todo` cells into their slots, on the calling thread
+    /// when one worker suffices, else on `jobs` pool workers.
     fn exec_cells(
         &self,
         plan: &ExperimentPlan<'_>,
-        dup_of: &[Option<usize>],
-        mut preloaded: Vec<Option<CellOutcome>>,
-    ) -> Vec<CellOutcome> {
-        let cells = &plan.cells;
-        let nthreads = self.jobs.min(cells.len()).max(1);
-        if nthreads == 1 {
-            let mut outs: Vec<CellOutcome> = Vec::with_capacity(cells.len());
-            for (i, c) in cells.iter().enumerate() {
-                let out = match preloaded[i].take() {
-                    Some(hit) => hit,
-                    None => match dup_of[i] {
-                        Some(j) => outs[j].memoized_copy(),
-                        None => {
-                            exec_cell(&plan.specs[c.spec], c, self.metrics, self.check.as_ref())
-                        }
-                    },
-                };
-                outs.push(out);
+        todo: &[usize],
+        slots: &[Mutex<Option<CellOutcome>>],
+    ) {
+        let next = AtomicUsize::new(0);
+        let work = || {
+            while let Some(&i) = todo.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let cell = &plan.cells[i];
+                let out = exec_cell(
+                    &plan.specs[cell.spec],
+                    cell,
+                    self.metrics,
+                    self.check.as_ref(),
+                );
+                *slots[i].lock().expect("cell slot poisoned") = Some(out);
             }
-            return outs;
+        };
+        let nthreads = self.jobs.min(todo.len());
+        if nthreads <= 1 {
+            work();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..nthreads {
+                    scope.spawn(work);
+                }
+            });
         }
-        let skip: Vec<bool> = (0..cells.len())
-            .map(|i| dup_of[i].is_some() || preloaded[i].is_some())
-            .collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots: Vec<std::sync::Mutex<Option<CellOutcome>>> =
-            cells.iter().map(|_| std::sync::Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..nthreads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= cells.len() {
-                        break;
-                    }
-                    if skip[i] {
-                        continue;
-                    }
-                    let out = exec_cell(
-                        &plan.specs[cells[i].spec],
-                        &cells[i],
-                        self.metrics,
-                        self.check.as_ref(),
-                    );
-                    *slots[i].lock().expect("cell slot poisoned") = Some(out);
-                });
-            }
-        });
-        let mut outs: Vec<Option<CellOutcome>> = slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("cell slot poisoned"))
-            .collect();
-        for (i, hit) in preloaded.iter_mut().enumerate() {
-            if let Some(hit) = hit.take() {
-                outs[i] = Some(hit);
-            }
-        }
-        for i in 0..outs.len() {
-            if let Some(j) = dup_of[i] {
-                let copy = outs[j]
-                    .as_ref()
-                    .expect("memoization primary executed")
-                    .memoized_copy();
-                outs[i] = Some(copy);
-            }
-        }
-        outs.into_iter()
-            .map(|o| o.expect("every cell completed"))
-            .collect()
     }
 }
 
@@ -1224,39 +1051,39 @@ pub struct PlanOutcome {
 }
 
 /// Reassembles the flat outcome list into per-spec experiment results.
+/// Each spec's cells are contiguous and configuration-major (see
+/// [`ExperimentPlan::push`]), so the specs consume the list in order.
 fn assemble(plan: ExperimentPlan<'_>, outcomes: Vec<CellOutcome>) -> Vec<SpecResult> {
-    let mut per_spec: Vec<Vec<CellOutcome>> = plan.specs.iter().map(|_| Vec::new()).collect();
-    for (cell, out) in plan.cells.iter().zip(outcomes) {
-        per_spec[cell.spec].push(out);
-    }
+    let mut cells = outcomes.into_iter();
     plan.specs
         .iter()
-        .zip(per_spec)
-        .map(|(spec, outs)| assemble_spec(spec, outs))
+        .map(|spec| assemble_spec(spec, &mut cells))
         .collect()
 }
 
-fn assemble_spec(spec: &PlanSpec<'_>, outcomes: Vec<CellOutcome>) -> SpecResult {
+fn assemble_spec(spec: &PlanSpec<'_>, cells: &mut impl Iterator<Item = CellOutcome>) -> SpecResult {
     let w = spec.workload;
-    let runs = spec.mode.runs();
+    let (runs, _) = spec.mode.slots();
+    let per_config = spec
+        .configs
+        .iter()
+        .map(|&config| (config, cells.by_ref().take(runs).collect::<Vec<_>>()));
     match &spec.mode {
         SpecMode::Clean { policy, .. } => {
-            let results: Vec<RunResult> = outcomes
-                .into_iter()
-                .map(|o| match o.data {
-                    CellData::Clean(r) => r,
-                    _ => unreachable!("clean spec produced non-clean cell"),
-                })
-                .collect();
-            let outcomes = spec
-                .configs
-                .iter()
-                .enumerate()
-                .map(|(j, &config)| {
-                    let slice = &results[j * runs..(j + 1) * runs];
-                    let samples = Samples::new(slice.iter().map(|r| r.value).collect());
+            let outcomes = per_config
+                .map(|(config, outs)| {
+                    let records: Vec<RunRecord> =
+                        outs.into_iter().map(CellOutcome::into_record).collect();
+                    let values = records.iter().map(|r| match r.value {
+                        Some(v) => v,
+                        None => panic!(
+                            "clean spec {:?} on {config} seed {} did not complete: {}",
+                            spec.label, r.seed, r.class
+                        ),
+                    });
+                    let samples = Samples::new(values.collect());
                     let mut extras_mean = BTreeMap::new();
-                    for r in slice {
+                    for r in &records {
                         for (k, v) in &r.extras {
                             *extras_mean.entry(k.clone()).or_insert(0.0) += v / runs as f64;
                         }
@@ -1276,55 +1103,32 @@ fn assemble_spec(spec: &PlanSpec<'_>, outcomes: Vec<CellOutcome>) -> SpecResult 
                 outcomes,
             })
         }
-        SpecMode::Resilient { policy, .. } => {
-            let records: Vec<RunRecord> = outcomes
-                .into_iter()
-                .map(|o| match o.data {
-                    CellData::Resilient(r) => r,
-                    _ => unreachable!("resilient spec produced non-resilient cell"),
-                })
-                .collect();
-            let outcomes = spec
-                .configs
-                .iter()
-                .enumerate()
-                .map(|(j, &config)| ResilientConfigOutcome {
+        SpecMode::Resilient { policy, .. } => SpecResult::Resilient(ResilientExperiment {
+            workload: w.name().to_string(),
+            unit: w.unit().to_string(),
+            direction: w.direction(),
+            policy: *policy,
+            outcomes: per_config
+                .map(|(config, outs)| ResilientConfigOutcome {
                     config,
-                    records: records[j * runs..(j + 1) * runs].to_vec(),
+                    records: outs.into_iter().map(CellOutcome::into_record).collect(),
                 })
-                .collect();
-            SpecResult::Resilient(ResilientExperiment {
-                workload: w.name().to_string(),
-                unit: w.unit().to_string(),
-                direction: w.direction(),
-                policy: *policy,
-                outcomes,
-            })
-        }
-        SpecMode::Differential { .. } => {
-            let reps: Vec<DifferentialRep> = outcomes
-                .into_iter()
-                .map(|o| match o.data {
-                    CellData::Differential(r) => r,
-                    _ => unreachable!("differential spec produced non-differential cell"),
-                })
-                .collect();
-            let outcomes = spec
-                .configs
-                .iter()
-                .enumerate()
-                .map(|(j, &config)| DifferentialConfigOutcome {
+                .collect(),
+        }),
+        SpecMode::Differential { .. } => SpecResult::Differential(DifferentialExperiment {
+            workload: w.name().to_string(),
+            unit: w.unit().to_string(),
+            direction: w.direction(),
+            outcomes: per_config
+                .map(|(config, outs)| DifferentialConfigOutcome {
                     config,
-                    reps: reps[j * runs..(j + 1) * runs].to_vec(),
+                    reps: outs
+                        .into_iter()
+                        .map(|o| differential_rep(o.legs, o.diff))
+                        .collect(),
                 })
-                .collect();
-            SpecResult::Differential(DifferentialExperiment {
-                workload: w.name().to_string(),
-                unit: w.unit().to_string(),
-                direction: w.direction(),
-                outcomes,
-            })
-        }
+                .collect(),
+        }),
     }
 }
 
@@ -1364,8 +1168,8 @@ pub struct CellReport {
     /// Folded kernel-trace hash of the cell's final attempt(s); absent
     /// when every run panicked.
     pub trace_hash: Option<u64>,
-    /// `true` when the cell's outcome was reused from an earlier
-    /// identical cell instead of executing.
+    /// `true` when the cell's outcome was copied from an earlier cell
+    /// with the same key instead of executing.
     pub memoized: bool,
     /// `true` when the cell's outcome was restored from the persistent
     /// on-disk cell cache (directly, or memoized from a restored
@@ -1423,7 +1227,7 @@ impl SweepReport {
         self.cells.iter().filter(|c| c.class == class).count()
     }
 
-    /// Number of cells deduplicated by cross-spec memoization.
+    /// Number of cells copied from an earlier cell with the same key.
     pub fn memoized_cells(&self) -> usize {
         self.cells.iter().filter(|c| c.memoized).count()
     }
@@ -1596,19 +1400,21 @@ fn build_report(
                 policy: cell.setup.policy.to_string(),
                 seed: cell.setup.seed,
                 rep: cell.rep,
-                class: out.class,
-                attempts: out.attempts,
+                class: out
+                    .legs
+                    .iter()
+                    .map(|r| r.class)
+                    .max()
+                    .expect("a cell has legs"),
+                attempts: out.legs.iter().map(|r| r.attempts).sum(),
                 value: out.value,
                 wall_ms: out.wall_nanos as f64 / 1e6,
-                trace_hash: out.trace_hash,
+                trace_hash: out.facts.hash,
                 memoized: out.memoized,
                 cached: out.cached,
-                violations: out.violations.clone(),
-                metrics: out.metrics.clone(),
-                diff: match &out.data {
-                    CellData::Differential(rep) => rep.diff,
-                    _ => None,
-                },
+                violations: out.facts.violations.clone(),
+                metrics: out.facts.metrics.as_deref().cloned(),
+                diff: out.diff,
             }
         })
         .collect();
@@ -1727,12 +1533,10 @@ mod tests {
         };
         plan.push("first", &w, &[AsymConfig::new(2, 2, 8)], mode());
         plan.push("second", &w, &[AsymConfig::new(2, 2, 8)], mode());
-        let targets = plan.memo_targets();
-        assert_eq!(targets, vec![None, None, Some(0), Some(1)]);
         let out = CellRunner::new(2).run(plan);
+        let memoized: Vec<bool> = out.report.cells.iter().map(|c| c.memoized).collect();
+        assert_eq!(memoized, vec![false, false, true, true]);
         assert_eq!(out.report.memoized_cells(), 2);
-        assert!(!out.report.cells[0].memoized);
-        assert!(out.report.cells[2].memoized);
         assert_eq!(out.report.cells[2].wall_ms, 0.0);
         assert_eq!(
             out.report.cells[0].trace_hash,
@@ -1780,7 +1584,8 @@ mod tests {
                 options: ExperimentOptions::new(1).base_seed(7),
             },
         );
-        assert_eq!(plan.memo_targets(), vec![None, None, None]);
+        let out = CellRunner::new(1).run(plan);
+        assert_eq!(out.report.memoized_cells(), 0);
     }
 
     #[test]
@@ -2091,6 +1896,179 @@ mod tests {
         let json = warm.report.to_json();
         assert!(json.contains("\"wall_ms\": 0, \"memoized\": true, \"cached\": true"));
         let _ = std::fs::remove_dir_all(cache.root());
+    }
+
+    fn resilient(options: ResilientOptions) -> SpecMode {
+        SpecMode::Resilient {
+            policy: SchedPolicy::os_default(),
+            options,
+        }
+    }
+
+    fn guarded() -> ResilientOptions {
+        ResilientOptions::new(2)
+            .watchdog(SimDuration::from_secs(5))
+            .sim_time_budget(SimDuration::from_secs(1))
+            .retries(1)
+    }
+
+    #[test]
+    fn identical_resilient_cells_without_an_observer_are_memoized() {
+        let w = KernelBursts;
+        let config = AsymConfig::new(1, 3, 8);
+        let mut plan = ExperimentPlan::new("dup");
+        plan.push("first", &w, &[config], resilient(guarded()));
+        plan.push("second", &w, &[config], resilient(guarded()));
+        let out = CellRunner::new(2).with_metrics(true).run(plan);
+        let memoized: Vec<bool> = out.report.cells.iter().map(|c| c.memoized).collect();
+        assert_eq!(memoized, vec![false, false, true, true]);
+        let facts = cell_facts(&out.report);
+        assert_eq!(facts[..2], facts[2..]);
+        assert_eq!(
+            out.results[0].resilient().outcomes,
+            out.results[1].resilient().outcomes
+        );
+    }
+
+    #[test]
+    fn resilient_cells_differing_in_one_knob_are_not_memoized() {
+        use asym_sim::EnvironmentProfile;
+        let w = KernelBursts;
+        let config = AsymConfig::new(1, 3, 8);
+        let env = |profile: fn(SimDuration) -> EnvironmentProfile| {
+            move |setup: &RunSetup| {
+                EnvironmentPlan::generate(
+                    setup.seed,
+                    setup.config.num_cores() as usize,
+                    &profile(SimDuration::from_millis(10)),
+                )
+            }
+        };
+        let mut plan = ExperimentPlan::new("nodup");
+        plan.push("base", &w, &[config], resilient(guarded()));
+        plan.push("retries", &w, &[config], resilient(guarded().retries(2)));
+        plan.push(
+            "budget",
+            &w,
+            &[config],
+            resilient(guarded().sim_time_budget(SimDuration::from_secs(2))),
+        );
+        plan.push(
+            "watchdog",
+            &w,
+            &[config],
+            resilient(guarded().watchdog(SimDuration::from_secs(6))),
+        );
+        plan.push(
+            "dvfs",
+            &w,
+            &[config],
+            resilient(guarded().environment_planner(env(EnvironmentProfile::dvfs))),
+        );
+        plan.push(
+            "thermal",
+            &w,
+            &[config],
+            resilient(guarded().environment_planner(env(EnvironmentProfile::thermal))),
+        );
+        let out = CellRunner::new(2).run(plan);
+        assert_eq!(out.report.cells.len(), 12);
+        assert_eq!(out.report.memoized_cells(), 0);
+        assert_eq!(out.report.count(RunClass::Completed), 12);
+    }
+
+    #[test]
+    fn memoized_copy_carries_the_primary_outcome() {
+        let w = KernelBursts;
+        // A check with findings, so the copied violations are visible.
+        let check: TraceCheck = Arc::new(|traces| vec![format!("kernels={}", traces.len())]);
+        let mode = || SpecMode::Clean {
+            policy: SchedPolicy::asymmetry_aware(),
+            options: ExperimentOptions::new(2),
+        };
+        let mut plan = ExperimentPlan::new("carry");
+        plan.push("first", &w, &[AsymConfig::new(1, 3, 8)], mode());
+        plan.push("second", &w, &[AsymConfig::new(1, 3, 8)], mode());
+        let out = CellRunner::new(2)
+            .with_metrics(true)
+            .with_trace_check(check)
+            .run(plan);
+        for (primary, copy) in out.report.cells[..2].iter().zip(&out.report.cells[2..]) {
+            assert!(!primary.memoized && copy.memoized);
+            assert_eq!(copy.wall_ms, 0.0);
+            assert_eq!(copy.class, primary.class);
+            assert_eq!(copy.value, primary.value);
+            assert_eq!(copy.trace_hash, primary.trace_hash);
+            assert!(copy.metrics.is_some());
+            assert_eq!(copy.metrics, primary.metrics);
+            assert_eq!(copy.violations, vec!["kernels=1".to_string()]);
+            assert_eq!(copy.violations, primary.violations);
+        }
+    }
+
+    #[test]
+    fn cache_key_digests_every_plan_field() {
+        use asym_sim::{CoreId, EnvironmentProfile, FaultKind, ThermalParams};
+        let w = KernelBursts;
+        let mut plan = ExperimentPlan::new("keys");
+        plan.push("k", &w, &[AsymConfig::new(1, 3, 8)], resilient(guarded()));
+        let key = |faults: Option<FaultPlan>, environment: Option<EnvironmentPlan>| {
+            let cell = Cell {
+                fault_plan: faults,
+                environment,
+                ..plan.cells[0].clone()
+            };
+            cache_key(&plan.specs[0], "kernel-bursts", &cell)
+                .expect("resilient cells are keyed")
+                .to_string()
+        };
+        let offline = |ms: u64, core: usize| {
+            let mut p = FaultPlan::new();
+            p.inject(
+                SimTime::ZERO + SimDuration::from_millis(ms),
+                FaultKind::CoreOffline { core: CoreId(core) },
+            );
+            p
+        };
+        let horizon = SimDuration::from_millis(50);
+        let env = |profile: EnvironmentProfile| EnvironmentPlan::generate(3, 4, &profile);
+        let thermal = |throttle_at: u32| EnvironmentProfile {
+            thermal: Some(ThermalParams {
+                heat_per_busy_tick: 1,
+                cool_per_idle_tick: 2,
+                throttle_at,
+                steps_per_excess: 4,
+            }),
+            ..EnvironmentProfile::quiet(horizon)
+        };
+        let bursts = |n: u32| EnvironmentProfile {
+            bursts: n,
+            ..EnvironmentProfile::quiet(horizon)
+        };
+        // Equal plans, equal keys.
+        assert_eq!(
+            key(Some(offline(1, 1)), None),
+            key(Some(offline(1, 1)), None)
+        );
+        assert_eq!(
+            key(None, Some(env(bursts(6)))),
+            key(None, Some(env(bursts(6))))
+        );
+        // One changed fault record, burst, or thermal parameter changes
+        // the key.
+        let keys = [
+            key(None, None),
+            key(Some(FaultPlan::new()), None),
+            key(Some(offline(1, 1)), None),
+            key(Some(offline(2, 1)), None),
+            key(Some(offline(1, 2)), None),
+            key(None, Some(env(bursts(6)))),
+            key(None, Some(env(bursts(5)))),
+            key(None, Some(env(thermal(16)))),
+            key(None, Some(env(thermal(17)))),
+        ];
+        let distinct: std::collections::HashSet<&String> = keys.iter().collect();
+        assert_eq!(distinct.len(), keys.len(), "{keys:#?}");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 /// A per-run hook receiving the setup, the result, and the trace of
 /// every kernel the run created (see
-/// [`ExperimentOptions::observe_traces`]).
+/// [`ResilientOptions::observe_traces`]).
 pub type RunObserver = Arc<dyn Fn(&RunSetup, &RunResult, &[KernelTrace]) + Send + Sync>;
 
 /// Per-configuration outcome of an experiment: all runs plus their
@@ -222,29 +222,19 @@ impl fmt::Display for Experiment {
 }
 
 /// Options for [`run_experiment`].
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct ExperimentOptions {
     /// Number of repeated runs per configuration.
     pub runs: usize,
     /// Base seed; run *i* of configuration *j* uses
     /// `base_seed + j * 1000 + i`.
     pub base_seed: u64,
-    /// Execute independent runs on parallel OS threads.
-    pub parallel: bool,
-    /// Optional per-run observer; when set, every run executes under
-    /// [`capture_traces`](asym_kernel::capture_traces) and the observer sees the full kernel trace.
-    pub observer: Option<RunObserver>,
 }
 
 impl ExperimentOptions {
-    /// `runs` repetitions, parallel execution, base seed 0, no observer.
+    /// `runs` repetitions, base seed 0.
     pub fn new(runs: usize) -> Self {
-        ExperimentOptions {
-            runs,
-            base_seed: 0,
-            parallel: true,
-            observer: None,
-        }
+        ExperimentOptions { runs, base_seed: 0 }
     }
 
     /// Sets the base seed.
@@ -252,37 +242,17 @@ impl ExperimentOptions {
         self.base_seed = seed;
         self
     }
-
-    /// Disables parallel execution (useful inside timing harnesses).
-    pub fn sequential(mut self) -> Self {
-        self.parallel = false;
-        self
-    }
-
-    /// Installs a per-run observer. Each run then executes inside
-    /// [`capture_traces`](asym_kernel::capture_traces), and `observer` is invoked (on the worker
-    /// thread that executed the run) with the setup, the result, and the
-    /// captured trace of every kernel the run created. This is how
-    /// `asym-analysis` checks every workload run without workloads
-    /// knowing about it.
-    pub fn observe_traces(
-        mut self,
-        observer: impl Fn(&RunSetup, &RunResult, &[KernelTrace]) + Send + Sync + 'static,
-    ) -> Self {
-        self.observer = Some(Arc::new(observer));
-        self
-    }
 }
 
-impl fmt::Debug for ExperimentOptions {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ExperimentOptions")
-            .field("runs", &self.runs)
-            .field("base_seed", &self.base_seed)
-            .field("parallel", &self.parallel)
-            .field("observer", &self.observer.as_ref().map(|_| "..."))
-            .finish()
-    }
+/// Runs a one-spec plan on a [`default_jobs`](crate::default_jobs)-sized
+/// [`CellRunner`] pool and returns the spec's assembled result. Results
+/// are deterministic whatever the pool size, because each cell's seed
+/// is fixed by its position in the plan.
+fn run_one(workload: &dyn Workload, configs: &[AsymConfig], mode: SpecMode) -> SpecResult {
+    let mut plan = ExperimentPlan::new(workload.name());
+    plan.push(workload.name(), workload, configs, mode);
+    let mut results = CellRunner::default().run(plan).results;
+    results.pop().expect("a one-spec plan assembles one result")
 }
 
 /// Runs `workload` `options.runs` times on every configuration in
@@ -290,37 +260,24 @@ impl fmt::Debug for ExperimentOptions {
 ///
 /// This is a thin wrapper over the cell engine: the sweep expands into
 /// an [`ExperimentPlan`] and executes on a [`CellRunner`] host thread
-/// pool ([`default_jobs`](crate::default_jobs)-sized when
-/// `options.parallel` is set, serial otherwise); results are
-/// deterministic either way because each cell's seed is fixed by its
-/// position in the plan.
+/// pool.
 ///
 /// # Panics
 ///
-/// Panics if `configs` is empty or `options.runs` is zero.
+/// Panics if `configs` is empty, `options.runs` is zero, or a run does
+/// not complete (see [`CellRunner::run`]).
 pub fn run_experiment(
     workload: &dyn Workload,
     configs: &[AsymConfig],
     policy: SchedPolicy,
     options: &ExperimentOptions,
 ) -> Experiment {
-    let jobs = if options.parallel {
-        crate::engine::default_jobs()
-    } else {
-        1
+    let mode = SpecMode::Clean {
+        policy,
+        options: options.clone(),
     };
-    let mut plan = ExperimentPlan::new("run_experiment");
-    plan.push(
-        workload.name(),
-        workload,
-        configs,
-        SpecMode::Clean {
-            policy,
-            options: options.clone(),
-        },
-    );
-    match CellRunner::new(jobs).run(plan).results.pop() {
-        Some(SpecResult::Clean(exp)) => exp,
+    match run_one(workload, configs, mode) {
+        SpecResult::Clean(exp) => exp,
         _ => unreachable!("clean plan must assemble a clean experiment"),
     }
 }
@@ -379,6 +336,17 @@ pub struct RunRecord {
     pub class: RunClass,
     /// The primary metric, present only when the run completed.
     pub value: Option<f64>,
+    /// Named secondary metrics the final attempt reported, in name
+    /// order (empty when it panicked). A compact list rather than a map:
+    /// records of a large sweep stay resident until it is assembled.
+    pub extras: Vec<(String, f64)>,
+}
+
+impl RunRecord {
+    /// The secondary metric `name`, if the final attempt reported it.
+    pub fn extra(&self, name: &str) -> Option<f64> {
+        self.extras.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
+    }
 }
 
 /// Per-configuration outcome of a resilient experiment: every run slot
@@ -495,8 +463,6 @@ pub struct ResilientOptions {
     /// Base seed; slot *i* of configuration *j* starts from
     /// `base_seed + j * 1000 + i`.
     pub base_seed: u64,
-    /// Execute independent slots on parallel OS threads.
-    pub parallel: bool,
     /// How many times a failed slot is retried before its failure is
     /// recorded. Retries escalate adaptively by failure class (see
     /// [`run_experiment_resilient`]). Completed runs are never retried.
@@ -517,20 +483,19 @@ pub struct ResilientOptions {
     /// Unlike fault plans, environment plans are never softened by
     /// retries — only reseeding re-derives them.
     pub env_planner: Option<EnvPlanner>,
-    /// Optional per-run observer, as in
-    /// [`ExperimentOptions::observe_traces`]; it also sees the traces of
+    /// Optional per-run observer (see
+    /// [`ResilientOptions::observe_traces`]); it also sees the traces of
     /// failed (non-panicked) attempts.
     pub observer: Option<RunObserver>,
 }
 
 impl ResilientOptions {
-    /// `runs` slots, parallel execution, base seed 0, one retry, no
-    /// budget, no watchdog, no faults, no observer.
-    pub fn new(runs: usize) -> Self {
+    /// `runs` slots, base seed 0, one retry, no budget, no watchdog, no
+    /// faults, no observer.
+    pub const fn new(runs: usize) -> Self {
         ResilientOptions {
             runs,
             base_seed: 0,
-            parallel: true,
             retries: 1,
             sim_time_budget: None,
             watchdog: None,
@@ -546,14 +511,8 @@ impl ResilientOptions {
         self
     }
 
-    /// Disables parallel execution.
-    pub fn sequential(mut self) -> Self {
-        self.parallel = false;
-        self
-    }
-
     /// Sets the retry budget per slot.
-    pub fn retries(mut self, retries: u32) -> Self {
+    pub const fn retries(mut self, retries: u32) -> Self {
         self.retries = retries;
         self
     }
@@ -593,8 +552,14 @@ impl ResilientOptions {
         self
     }
 
-    /// Installs a per-run observer (see
-    /// [`ExperimentOptions::observe_traces`]).
+    /// Installs a per-run observer. Each attempt then executes inside
+    /// [`capture_traces`](asym_kernel::capture_traces), and `observer` is
+    /// invoked (on the worker thread that executed the attempt) with the
+    /// setup, the result, and the captured trace of every kernel the
+    /// attempt created. This is how `asym-analysis` checks every
+    /// workload run without workloads knowing about it. Cells with an
+    /// observer are never deduplicated or cached: the observer must see
+    /// every requested run.
     pub fn observe_traces(
         mut self,
         observer: impl Fn(&RunSetup, &RunResult, &[KernelTrace]) + Send + Sync + 'static,
@@ -609,7 +574,6 @@ impl fmt::Debug for ResilientOptions {
         f.debug_struct("ResilientOptions")
             .field("runs", &self.runs)
             .field("base_seed", &self.base_seed)
-            .field("parallel", &self.parallel)
             .field("retries", &self.retries)
             .field("sim_time_budget", &self.sim_time_budget)
             .field("watchdog", &self.watchdog)
@@ -644,23 +608,12 @@ pub fn run_experiment_resilient(
     policy: SchedPolicy,
     options: &ResilientOptions,
 ) -> ResilientExperiment {
-    let jobs = if options.parallel {
-        crate::engine::default_jobs()
-    } else {
-        1
+    let mode = SpecMode::Resilient {
+        policy,
+        options: options.clone(),
     };
-    let mut plan = ExperimentPlan::new("run_experiment_resilient");
-    plan.push(
-        workload.name(),
-        workload,
-        configs,
-        SpecMode::Resilient {
-            policy,
-            options: options.clone(),
-        },
-    );
-    match CellRunner::new(jobs).run(plan).results.pop() {
-        Some(SpecResult::Resilient(exp)) => exp,
+    match run_one(workload, configs, mode) {
+        SpecResult::Resilient(exp) => exp,
         _ => unreachable!("resilient plan must assemble a resilient experiment"),
     }
 }
@@ -871,22 +824,11 @@ pub fn run_experiment_differential(
     configs: &[AsymConfig],
     options: &ResilientOptions,
 ) -> DifferentialExperiment {
-    let jobs = if options.parallel {
-        crate::engine::default_jobs()
-    } else {
-        1
+    let mode = SpecMode::Differential {
+        options: options.clone(),
     };
-    let mut plan = ExperimentPlan::new("run_experiment_differential");
-    plan.push(
-        workload.name(),
-        workload,
-        configs,
-        SpecMode::Differential {
-            options: options.clone(),
-        },
-    );
-    match CellRunner::new(jobs).run(plan).results.pop() {
-        Some(SpecResult::Differential(exp)) => exp,
+    match run_one(workload, configs, mode) {
+        SpecResult::Differential(exp) => exp,
         _ => unreachable!("differential plan must assemble a differential experiment"),
     }
 }
@@ -935,24 +877,6 @@ mod tests {
         // Symmetric configs are noise-free, asymmetric ones vary.
         assert!(exp.worst_symmetric_cov() < 1e-12);
         assert!(exp.worst_asymmetric_cov() > 0.01);
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree() {
-        let configs = AsymConfig::standard_nine();
-        let par = run_experiment(
-            &Synthetic,
-            &configs,
-            SchedPolicy::os_default(),
-            &ExperimentOptions::new(3),
-        );
-        let seq = run_experiment(
-            &Synthetic,
-            &configs,
-            SchedPolicy::os_default(),
-            &ExperimentOptions::new(3).sequential(),
-        );
-        assert_eq!(par, seq);
     }
 
     #[test]
@@ -1063,7 +987,6 @@ mod tests {
             .watchdog(SimDuration::from_millis(5))
             .sim_time_budget(SimDuration::from_millis(500))
             .retries(0)
-            .sequential()
     }
 
     #[test]
@@ -1136,8 +1059,7 @@ mod tests {
         };
         let opts = ResilientOptions::new(1)
             .sim_time_budget(SimDuration::from_millis(2))
-            .retries(0)
-            .sequential();
+            .retries(0);
         let exp = run_experiment_resilient(
             &w,
             &[AsymConfig::new(2, 2, 8)],
@@ -1173,7 +1095,7 @@ mod tests {
             &Windowed,
             &[AsymConfig::new(2, 2, 8)],
             SchedPolicy::os_default(),
-            &ResilientOptions::new(1).retries(0).sequential(),
+            &ResilientOptions::new(1).retries(0),
         );
         assert_eq!(exp.count(RunClass::Completed), 1);
     }
@@ -1193,7 +1115,6 @@ mod tests {
                 .watchdog(SimDuration::from_millis(50))
                 .sim_time_budget(SimDuration::from_secs(2))
                 .fault_planner(planner)
-                .sequential()
         };
         let w = Hostile {
             bad_below: 0,
@@ -1260,14 +1181,118 @@ mod tests {
             SchedPolicy::os_default(),
             &ResilientOptions::new(1)
                 .sim_time_budget(SimDuration::from_millis(2))
-                .retries(1)
-                .sequential(),
+                .retries(1),
         );
         assert_eq!(exp.count(RunClass::Completed), 1);
         let r = &exp.outcomes[0].records[0];
         assert_eq!(r.attempts, 2);
         assert!(r.seed < RETRY_SEED_STRIDE, "budget retry must not reseed");
         assert!((r.value.unwrap() - 0.003).abs() < 1e-9);
+    }
+
+    #[test]
+    fn time_limit_at_the_cap_keeps_retrying_at_8x_until_retries_are_spent() {
+        // 3 ms of work against a 0.25 ms budget: even 8x (2 ms) is too
+        // short, so every retry stays at the cap on the same seed.
+        let exp = run_experiment_resilient(
+            &SlowButSteady,
+            &[AsymConfig::new(1, 0, 8)],
+            SchedPolicy::os_default(),
+            &ResilientOptions::new(1)
+                .sim_time_budget(SimDuration::from_micros(250))
+                .retries(5),
+        );
+        let r = &exp.outcomes[0].records[0];
+        assert_eq!(r.class, RunClass::TimeLimit);
+        assert_eq!(r.attempts, 6);
+        assert_eq!(r.seed, 0, "budget retry must not reseed");
+        assert!(r.value.is_none());
+    }
+
+    #[test]
+    fn differential_time_limit_doubles_the_budget_on_the_same_seed_up_to_8x() {
+        // 3 ms of work: a 2 ms budget fits at 2x; a 0.25 ms budget never
+        // fits (8x is 2 ms), so each leg stops after 4 attempts even
+        // with retries to spare.
+        for (budget_us, attempts, class) in [
+            (2000, 2, RunClass::Completed),
+            (250, 4, RunClass::TimeLimit),
+        ] {
+            let exp = run_experiment_differential(
+                &SlowButSteady,
+                &[AsymConfig::new(1, 0, 8)],
+                &ResilientOptions::new(1)
+                    .sim_time_budget(SimDuration::from_micros(budget_us))
+                    .retries(10),
+            );
+            let rep = &exp.outcomes[0].reps[0];
+            for r in rep.records() {
+                assert_eq!(r.class, class, "budget {budget_us}us");
+                assert_eq!(r.attempts, attempts, "budget {budget_us}us");
+                assert_eq!(r.seed, rep.seed, "paired legs never reseed");
+            }
+        }
+    }
+
+    #[test]
+    fn differential_stalled_or_deadlocked_legs_are_recorded_after_one_attempt() {
+        for (mode, class) in [
+            ("stall", RunClass::Stalled),
+            ("deadlock", RunClass::Deadlock),
+        ] {
+            let w = Hostile {
+                bad_below: u64::MAX,
+                mode,
+            };
+            let exp = run_experiment_differential(
+                &w,
+                &[AsymConfig::new(2, 2, 8)],
+                &ResilientOptions::new(1)
+                    .watchdog(SimDuration::from_millis(5))
+                    .sim_time_budget(SimDuration::from_millis(500))
+                    .retries(1),
+            );
+            let rep = &exp.outcomes[0].reps[0];
+            for r in rep.records() {
+                assert_eq!(r.class, class, "mode {mode}");
+                assert_eq!(r.attempts, 1, "mode {mode}: no reseed, no softening");
+                assert_eq!(r.seed, rep.seed, "mode {mode}");
+            }
+        }
+    }
+
+    fn clean_plan(w: &Hostile) -> crate::engine::ExperimentPlan<'_> {
+        let mut plan = crate::engine::ExperimentPlan::new("clean");
+        plan.push(
+            "hostile",
+            w,
+            &[AsymConfig::new(2, 2, 8)],
+            crate::engine::SpecMode::Clean {
+                policy: SchedPolicy::os_default(),
+                options: ExperimentOptions::new(1),
+            },
+        );
+        plan
+    }
+
+    #[test]
+    #[should_panic]
+    fn clean_cell_whose_workload_panics_fails_the_runner() {
+        let w = Hostile {
+            bad_below: u64::MAX,
+            mode: "panic",
+        };
+        crate::engine::CellRunner::new(1).run(clean_plan(&w));
+    }
+
+    #[test]
+    #[should_panic(expected = "did not complete: deadlock")]
+    fn clean_cell_whose_kernel_deadlocks_yields_no_sample() {
+        let w = Hostile {
+            bad_below: u64::MAX,
+            mode: "deadlock",
+        };
+        crate::engine::CellRunner::new(1).run(clean_plan(&w));
     }
 
     /// A producer computes 1 ms then opens a flag a kill-exempt poller
@@ -1341,8 +1366,7 @@ mod tests {
                 .watchdog(SimDuration::from_millis(5))
                 .sim_time_budget(SimDuration::from_millis(500))
                 .fault_planner(planner)
-                .retries(1)
-                .sequential(),
+                .retries(1),
         );
         assert_eq!(exp.count(RunClass::Completed), 1);
         let r = &exp.outcomes[0].records[0];
@@ -1405,7 +1429,6 @@ mod tests {
             ResilientOptions::new(3)
                 .sim_time_budget(SimDuration::from_secs(1))
                 .fault_planner(planner)
-                .sequential()
         };
         let configs = [AsymConfig::new(2, 0, 8)];
         let exp = run_experiment_differential(&PolicySensitive, &configs, &opts());
@@ -1430,17 +1453,10 @@ mod tests {
         // series are perfectly stable.
         assert!(o.stability_delta().unwrap().abs() < 1e-12);
 
-        // Deterministic, and identical whether run in parallel or not.
+        // Deterministic.
         assert_eq!(
             exp,
             run_experiment_differential(&PolicySensitive, &configs, &opts())
-        );
-        let par = ResilientOptions::new(3)
-            .sim_time_budget(SimDuration::from_secs(1))
-            .fault_planner(planner);
-        assert_eq!(
-            exp,
-            run_experiment_differential(&PolicySensitive, &configs, &par)
         );
     }
 
@@ -1451,7 +1467,7 @@ mod tests {
         let exp = run_experiment_differential(
             &PolicySensitive,
             &[AsymConfig::new(2, 0, 8)],
-            &ResilientOptions::new(2).sequential(),
+            &ResilientOptions::new(2),
         );
         assert_eq!(exp.count(RunClass::Completed), 8);
         assert!(exp.outcomes[0].mean_absorption(exp.direction).is_none());
@@ -1519,7 +1535,6 @@ mod tests {
             ResilientOptions::new(2)
                 .sim_time_budget(SimDuration::from_secs(2))
                 .environment_planner(harsh_thermal)
-                .sequential()
         };
         let configs = [AsymConfig::new(1, 0, 8)];
         let a =
@@ -1534,14 +1549,6 @@ mod tests {
         for &v in s.values() {
             assert!(v > 0.1, "environment never throttled: finished in {v}s");
         }
-        // And identical whether slots run sequentially or in parallel.
-        let par = ResilientOptions::new(2)
-            .sim_time_budget(SimDuration::from_secs(2))
-            .environment_planner(harsh_thermal);
-        assert_eq!(
-            a,
-            run_experiment_resilient(&EnvSensitive, &configs, SchedPolicy::os_default(), &par)
-        );
     }
 
     #[test]
@@ -1558,8 +1565,7 @@ mod tests {
             &ResilientOptions::new(1)
                 .sim_time_budget(SimDuration::from_millis(25))
                 .environment_planner(harsh_thermal)
-                .retries(3)
-                .sequential(),
+                .retries(3),
         );
         assert_eq!(exp.count(RunClass::Completed), 1);
         let r = &exp.outcomes[0].records[0];
@@ -1581,8 +1587,7 @@ mod tests {
             &[AsymConfig::new(1, 0, 8)],
             &ResilientOptions::new(1)
                 .sim_time_budget(SimDuration::from_secs(2))
-                .environment_planner(harsh_thermal)
-                .sequential(),
+                .environment_planner(harsh_thermal),
         );
         assert_eq!(exp.count(RunClass::Completed), 4);
         let rep = &exp.outcomes[0].reps[0];

@@ -226,4 +226,34 @@ else
 fi
 rm -rf "$CACHE_DIR" CACHE_cold.json CACHE_warm.json
 
+echo "==> asym_sweep fig2 table1 --cache=off --jobs 2 --json (in-plan dedup: copies equal their primaries, tables unchanged)"
+cargo run -q --release -p asym-bench --bin asym_sweep -- \
+  fig2 table1 --cache=off --jobs 2 --json=DEDUP_sweep.json > DEDUP_sweep.txt
+cat results/fig2.txt results/table1.txt | cmp - DEDUP_sweep.txt \
+  || { echo "FAIL: deduplicated fig2+table1 output differs from results/"; exit 1; }
+if command -v python3 > /dev/null; then
+  python3 - <<'EOF'
+import json
+report = json.load(open("DEDUP_sweep.json"))
+memoized = report["memoized_cells"]
+assert memoized >= 72, f"expected >= 72 memoized cells, got {memoized}"
+FACTS = ("class", "value", "trace_hash", "metrics")
+earlier = {}
+for c in report["cells"]:
+    key = (c["workload"], c["config"], c["policy"], c["seed"], c["mode"])
+    if not c["memoized"]:
+        earlier.setdefault(key, []).append(c)
+        continue
+    assert c["wall_ms"] == 0, f"memoized cell charged wall time: {c}"
+    assert any(all(p[f] == c[f] for f in FACTS) for p in earlier.get(key, [])), \
+        f"memoized cell matches no earlier executed cell: {c}"
+print(f"   dedup OK: {len(report['cells'])} cells, {memoized} memoized, "
+      f"each equal to an earlier executed cell")
+EOF
+else
+  grep -q '"memoized_cells": [1-9]' DEDUP_sweep.json || { echo "FAIL: no memoized cells"; exit 1; }
+  echo "   dedup OK (grep checks)"
+fi
+rm -f DEDUP_sweep.json DEDUP_sweep.txt
+
 echo "CI OK"
