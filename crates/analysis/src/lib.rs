@@ -63,13 +63,11 @@
 //!     .any(|v| v.kind == asym_analysis::ViolationKind::LockOrderInversion));
 //! ```
 
-use asym_core::{RunResult, RunSetup, Workload};
+use asym_core::{RunSetup, Workload};
 use asym_kernel::{capture_traces, RunOutcome, ThreadId, TraceEvent, WaitId};
 use asym_sim::{CoreId, CoreMask, SimTime};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 pub mod fixtures;
 pub mod hb;
@@ -940,59 +938,6 @@ pub fn render_violations(violations: &[Violation]) -> String {
         out.push_str(&v.to_string());
     }
     out
-}
-
-// ----------------------------------------------------------------------
-// Sweep integration
-// ----------------------------------------------------------------------
-
-/// A shared, thread-safe violation counter that plugs the trace
-/// checkers into a sweep as a per-run observer.
-///
-/// [`ViolationLog::observer`] returns a closure suitable for
-/// `ResilientOptions::observe_traces`: every captured kernel trace is
-/// run through [`analyze_trace`], findings are printed to stderr with
-/// the offending setup, and the total count accumulates in the log.
-/// Clones share the same counter, so one log can watch every section
-/// of a multi-spec sweep — including cells executing on parallel host
-/// threads.
-#[derive(Clone, Debug, Default)]
-pub struct ViolationLog {
-    count: Arc<AtomicUsize>,
-}
-
-impl ViolationLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        ViolationLog::default()
-    }
-
-    /// Total violations recorded so far, across all clones.
-    pub fn count(&self) -> usize {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// A per-run observer that analyzes every captured trace and
-    /// records what the checkers find.
-    pub fn observer(
-        &self,
-    ) -> impl Fn(&RunSetup, &RunResult, &[KernelTrace]) + Send + Sync + 'static {
-        let count = self.count.clone();
-        move |setup, _result, traces| {
-            for trace in traces {
-                let found = analyze_trace(trace);
-                if !found.is_empty() {
-                    count.fetch_add(found.len(), Ordering::Relaxed);
-                    eprintln!(
-                        "  [VIOLATION] seed {} @ {}: {}",
-                        setup.seed,
-                        setup.config,
-                        render_violations(&found)
-                    );
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

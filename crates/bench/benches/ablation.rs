@@ -3,14 +3,15 @@
 //! asymmetry-aware scheduler's pieces each contribute.
 
 use asym_bench::figure_header;
-use asym_core::{run_experiment, AsymConfig, ExperimentOptions, TextTable, Workload};
+use asym_core::{run_experiment, AsymConfig, ExperimentOptions, SpecMode, TextTable, Workload};
 use asym_kernel::SchedPolicy;
 use asym_workloads::specjbb::{GcKind, SpecJbb};
 use asym_workloads::webserver::{Apache, LoadLevel};
 
 fn cov_at(workload: &dyn Workload, policy: SchedPolicy, config: AsymConfig) -> f64 {
-    let exp = run_experiment(workload, &[config], policy, &ExperimentOptions::new(5));
-    exp.outcomes[0].samples.cov()
+    let options = ExperimentOptions::new(5);
+    let exp = run_experiment(workload, &[config], SpecMode::Clean { policy, options });
+    exp.outcomes[0].samples().cov()
 }
 
 fn main() {
@@ -59,19 +60,15 @@ fn main() {
         ("SPECjbb tx/s", &jbb as &dyn Workload),
         ("Apache req/s", &apache as &dyn Workload),
     ] {
-        let s = run_experiment(
-            w,
-            &[config],
-            SchedPolicy::os_default(),
-            &ExperimentOptions::new(5),
+        let mean = |policy| {
+            let options = ExperimentOptions::new(5);
+            let exp = run_experiment(w, &[config], SpecMode::Clean { policy, options });
+            exp.outcomes[0].samples().mean()
+        };
+        let (sm, am) = (
+            mean(SchedPolicy::os_default()),
+            mean(SchedPolicy::asymmetry_aware()),
         );
-        let a = run_experiment(
-            w,
-            &[config],
-            SchedPolicy::asymmetry_aware(),
-            &ExperimentOptions::new(5),
-        );
-        let (sm, am) = (s.outcomes[0].samples.mean(), a.outcomes[0].samples.mean());
         t.row(vec![
             name.to_string(),
             format!("{sm:.0}"),

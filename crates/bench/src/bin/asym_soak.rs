@@ -20,11 +20,9 @@
 //!
 //! Exits non-zero if any invariant breaks.
 
-use asym_analysis::ViolationLog;
-use asym_bench::paper_workloads;
+use asym_bench::{lint_check, paper_workloads};
 use asym_core::{
-    run_experiment_differential, run_experiment_resilient, AsymConfig, ResilientOptions, RunClass,
-    Workload,
+    run_experiment, AsymConfig, Experiment, ResilientOptions, RunClass, SpecMode, Workload,
 };
 use asym_kernel::SchedPolicy;
 use asym_sim::{EnvironmentPlan, EnvironmentProfile, FaultPlan, FaultProfile, Rng, SimDuration};
@@ -74,12 +72,10 @@ struct Campaign {
 struct CampaignOutcome {
     rounds: u32,
     final_retries: u32,
-    total_runs: usize,
-    completed: usize,
-    time_limit: usize,
-    stalled: usize,
-    deadlock: usize,
-    panicked: usize,
+    /// The final round's experiment.
+    exp: Experiment,
+    /// Trace-check findings across the records of every round.
+    violations: usize,
     settled: bool,
 }
 
@@ -117,20 +113,23 @@ fn draw_campaign(rng: &mut Rng, quick: bool) -> Campaign {
 }
 
 /// Options for one round of a campaign: environment always attached,
-/// faults per the campaign's draw, budget and retries per the ladder.
-fn round_options(c: &Campaign, round: u32, log: &ViolationLog) -> (ResilientOptions, u32) {
+/// faults per the campaign's draw, budget and retries per the ladder,
+/// and the trace checkers on every attempt.
+fn round_options(c: &Campaign, round: u32) -> (ResilientOptions, u32) {
     let retries = 1u32 << round;
     let budget = BASE_BUDGET * (1u64 << round);
     let profile = c.profile;
-    let mut opts = ResilientOptions::new(c.reps)
-        .base_seed(c.seed)
-        .watchdog(SimDuration::from_secs(5))
-        .sim_time_budget(budget)
-        .retries(retries)
-        .observe_traces(log.observer())
-        .environment_planner(move |setup| {
-            EnvironmentPlan::generate(setup.seed, setup.config.num_cores() as usize, &profile)
-        });
+    let mut opts = ResilientOptions {
+        check: Some(lint_check()),
+        ..ResilientOptions::new(c.reps)
+            .base_seed(c.seed)
+            .watchdog(SimDuration::from_secs(5))
+            .sim_time_budget(budget)
+            .retries(retries)
+            .environment_planner(move |setup| {
+                EnvironmentPlan::generate(setup.seed, setup.config.num_cores() as usize, &profile)
+            })
+    };
     match c.faults {
         Faults::None => {}
         Faults::HotplugThrottle => {
@@ -157,36 +156,35 @@ fn round_options(c: &Campaign, round: u32, log: &ViolationLog) -> (ResilientOpti
 
 /// Runs one campaign through the adaptive ladder: any non-completed
 /// class escalates the next round's retry count and budget (backoff in
-/// simulated time, not host time). Returns the final round's classes.
-fn run_campaign(c: &Campaign, w: &dyn Workload, log: &ViolationLog) -> CampaignOutcome {
+/// simulated time, not host time). Returns the final round's experiment
+/// and the findings of every round, settled or not.
+fn run_campaign(c: &Campaign, w: &dyn Workload) -> CampaignOutcome {
     let configs = [c.config];
-    let mut rounds = 0;
+    let (mut rounds, mut violations) = (0, 0);
     loop {
-        let (opts, retries) = round_options(c, rounds, log);
+        let (options, retries) = round_options(c, rounds);
         rounds += 1;
-        let (total_runs, counts): (usize, Box<dyn Fn(RunClass) -> usize>) = match c.runner {
-            Runner::Resilient => {
-                let exp = run_experiment_resilient(w, &configs, c.policy, &opts);
-                let total = exp.outcomes.iter().map(|o| o.records.len()).sum();
-                (total, Box::new(move |class| exp.count(class)))
-            }
-            Runner::Differential => {
-                let exp = run_experiment_differential(w, &configs, &opts);
-                (exp.total_runs(), Box::new(move |class| exp.count(class)))
-            }
+        let mode = match c.runner {
+            Runner::Resilient => SpecMode::Resilient {
+                policy: c.policy,
+                options,
+            },
+            Runner::Differential => SpecMode::Differential { options },
         };
-        let completed = counts(RunClass::Completed);
-        let settled = completed == total_runs && total_runs > 0;
+        let exp = run_experiment(w, &configs, mode);
+        for r in exp.outcomes.iter().flat_map(|o| &o.records) {
+            violations += r.violations.len();
+            for v in &r.violations {
+                eprintln!("  [VIOLATION] seed {} @ {}: {v}", r.seed, c.config);
+            }
+        }
+        let settled = exp.count(RunClass::Completed) == exp.total_runs() && exp.total_runs() > 0;
         if settled || rounds >= MAX_ROUNDS {
             return CampaignOutcome {
                 rounds,
                 final_retries: retries,
-                total_runs,
-                completed,
-                time_limit: counts(RunClass::TimeLimit),
-                stalled: counts(RunClass::Stalled),
-                deadlock: counts(RunClass::Deadlock),
-                panicked: counts(RunClass::Panicked),
+                exp,
+                violations,
                 settled,
             };
         }
@@ -264,7 +262,6 @@ fn main() -> ExitCode {
     };
     let n = args.campaigns.unwrap_or(if args.quick { 6 } else { 24 });
     let workloads = paper_workloads();
-    let log = ViolationLog::new();
     println!(
         "asym-soak: {n} campaign(s), master seed {}, {} mode",
         args.seed,
@@ -273,12 +270,13 @@ fn main() -> ExitCode {
 
     let mut rng = Rng::new(args.seed ^ 0x50_41_4b); // "SOAK"-ish tweak keeps seed 0 nontrivial
     let mut json_campaigns = String::new();
-    let (mut unsettled, mut panicked, mut deadlocked, mut unclassified) =
-        (0usize, 0usize, 0usize, 0usize);
+    let (mut unsettled, mut panicked, mut deadlocked, mut unclassified, mut violations) =
+        (0usize, 0usize, 0usize, 0usize, 0usize);
     for id in 0..n {
         let c = draw_campaign(&mut rng, args.quick);
         let w = workloads[c.workload_idx].as_ref();
-        let out = run_campaign(&c, w, &log);
+        let out = run_campaign(&c, w);
+        let (exp, total_runs) = (&out.exp, out.exp.total_runs());
         let (expected, policy) = match c.runner {
             Runner::Resilient => (c.reps, c.policy.to_string()),
             // The differential runner pairs both kernels itself; the
@@ -295,19 +293,20 @@ fn main() -> ExitCode {
             faults_name(c.faults),
             runner_name(c.runner),
             policy,
-            out.completed,
-            out.total_runs,
+            exp.count(RunClass::Completed),
+            total_runs,
             out.rounds,
             out.final_retries,
-            out.time_limit,
-            out.stalled,
-            out.deadlock,
-            out.panicked,
+            exp.count(RunClass::TimeLimit),
+            exp.count(RunClass::Stalled),
+            exp.count(RunClass::Deadlock),
+            exp.count(RunClass::Panicked),
         );
         unsettled += usize::from(!out.settled);
-        panicked += out.panicked;
-        deadlocked += out.deadlock;
-        unclassified += expected.saturating_sub(out.total_runs);
+        panicked += exp.count(RunClass::Panicked);
+        deadlocked += exp.count(RunClass::Deadlock);
+        unclassified += expected.saturating_sub(total_runs);
+        violations += out.violations;
         let _ = write!(
             json_campaigns,
             "{}{{\"id\": {id}, \"workload\": \"{}\", \"config\": \"{}\", \
@@ -324,13 +323,12 @@ fn main() -> ExitCode {
             c.seed,
             out.rounds,
             out.final_retries,
-            out.completed,
-            out.total_runs,
+            exp.count(RunClass::Completed),
+            total_runs,
             out.settled,
         );
     }
 
-    let violations = log.count();
     let ok =
         unsettled == 0 && panicked == 0 && deadlocked == 0 && unclassified == 0 && violations == 0;
     println!(

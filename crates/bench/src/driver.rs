@@ -10,6 +10,7 @@
 //! counts, and trace hashes.
 
 use crate::spec::{registry, SweepContext, SweepSpec};
+use asym_analysis::analyze_trace;
 use asym_analysis::hb::check_concurrency;
 use asym_core::{resolve_jobs, CellCache, CellRunner, ExperimentPlan, TraceCheck};
 use std::path::PathBuf;
@@ -239,8 +240,8 @@ pub fn run_sweeps(names: &[&str], args: &SweepArgs) -> ExitCode {
     );
 
     // Per-cell profile metrics ride along only when the structured
-    // report is requested: deriving them forces trace capture on every
-    // attempt, which the plain text figures don't need.
+    // report is requested: the fold costs time on every streamed event,
+    // and the plain text figures don't need it.
     let mut runner = CellRunner::new(jobs).with_metrics(args.json.is_some());
     if args.check {
         runner = runner.with_trace_check(concurrency_check());
@@ -274,34 +275,34 @@ pub fn run_sweeps(names: &[&str], args: &SweepArgs) -> ExitCode {
         report.speedup(),
         report.total_retries()
     );
-    if args.check {
-        let dirty: Vec<_> = report
-            .cells
-            .iter()
-            .filter(|c| !c.violations.is_empty())
-            .collect();
-        for c in &dirty {
-            eprintln!(
-                "[asym-sweep] CONCURRENCY VIOLATION {} {} {} seed {}:",
-                c.spec, c.config, c.policy, c.seed
-            );
-            for v in &c.violations {
-                eprintln!("[asym-sweep]   - {v}");
-            }
+    // Findings come from `--check` and from specs that carry their own
+    // trace check; either way they fail the sweep.
+    let dirty: Vec<_> = report
+        .cells
+        .iter()
+        .filter(|c| !c.violations.is_empty())
+        .collect();
+    for c in &dirty {
+        eprintln!(
+            "[asym-sweep] TRACE FINDINGS {} {} {} seed {}:",
+            c.spec, c.config, c.policy, c.seed
+        );
+        for v in &c.violations {
+            eprintln!("[asym-sweep]   - {v}");
         }
-        if dirty.is_empty() {
-            eprintln!(
-                "[asym-sweep] --check: all {} cell(s) race- and lint-clean",
-                report.cells.len()
-            );
-        } else {
-            eprintln!(
-                "[asym-sweep] --check: {} finding(s) across {} cell(s)",
-                report.total_violations(),
-                dirty.len()
-            );
-            ok = false;
-        }
+    }
+    if !dirty.is_empty() {
+        eprintln!(
+            "[asym-sweep] {} trace finding(s) across {} cell(s)",
+            report.total_violations(),
+            dirty.len()
+        );
+        ok = false;
+    } else if args.check {
+        eprintln!(
+            "[asym-sweep] --check: all {} cell(s) race- and lint-clean",
+            report.cells.len()
+        );
     }
     eprintln!(
         "[asym-sweep] {} cell(s) reused from an identical earlier cell (same cell key)",
@@ -362,6 +363,20 @@ pub fn concurrency_check() -> TraceCheck {
         traces
             .iter()
             .flat_map(check_concurrency)
+            .map(|v| v.to_string())
+            .collect()
+    })
+}
+
+/// The [`TraceCheck`] that runs `asym-analysis`'s single-trace checkers
+/// ([`analyze_trace`]: deadlock, lock order, lost wakeup, fast-core idle,
+/// offline dispatch, forward progress, kill accounting) over every
+/// kernel trace of a cell, one rendered line per finding.
+pub fn lint_check() -> TraceCheck {
+    Arc::new(|traces| {
+        traces
+            .iter()
+            .flat_map(analyze_trace)
             .map(|v| v.to_string())
             .collect()
     })

@@ -10,7 +10,8 @@
 //! configurations are unstable, who wins, and by roughly what factor.
 
 use asym_core::{
-    run_experiment, AsymConfig, Experiment, ExperimentOptions, Stability, TextTable, Workload,
+    run_experiment, AsymConfig, Experiment, ExperimentOptions, SpecMode, Stability, TextTable,
+    Workload,
 };
 use asym_kernel::SchedPolicy;
 use asym_workloads::h264::H264;
@@ -25,8 +26,8 @@ mod driver;
 mod spec;
 
 pub use driver::{
-    concurrency_check, run_sweeps, spec_main, CacheSetting, SweepArgs, DEFAULT_CACHE_DIR,
-    DEFAULT_CHECK_CELL_CAP,
+    concurrency_check, lint_check, run_sweeps, spec_main, CacheSetting, SweepArgs,
+    DEFAULT_CACHE_DIR, DEFAULT_CHECK_CELL_CAP,
 };
 pub use spec::{
     registry, spec_names, RenderFn, Rendered, Section, SweepContext, SweepDef, SweepSpec,
@@ -56,12 +57,9 @@ pub fn nine_config_experiment(
     runs: usize,
     base_seed: u64,
 ) -> Experiment {
-    run_experiment(
-        workload,
-        &AsymConfig::standard_nine(),
-        policy,
-        &ExperimentOptions::new(runs).base_seed(base_seed),
-    )
+    let options = ExperimentOptions::new(runs).base_seed(base_seed);
+    let mode = SpecMode::Clean { policy, options };
+    run_experiment(workload, &AsymConfig::standard_nine(), mode)
 }
 
 /// Renders an experiment as the standard per-configuration table:
@@ -71,13 +69,14 @@ pub fn render_experiment(exp: &Experiment) -> String {
         "config", "power", "mean", "min", "max", "cov%", "verdict",
     ]);
     for o in &exp.outcomes {
+        let s = o.samples();
         t.row(vec![
             o.config.to_string(),
             format!("{:.3}", o.config.compute_power()),
-            format!("{:.1}", o.samples.mean()),
-            format!("{:.1}", o.samples.min()),
-            format!("{:.1}", o.samples.max()),
-            format!("{:.2}", o.samples.cov() * 100.0),
+            format!("{:.1}", s.mean()),
+            format!("{:.1}", s.min()),
+            format!("{:.1}", s.max()),
+            format!("{:.2}", s.cov() * 100.0),
             o.stability().to_string(),
         ]);
     }
@@ -86,7 +85,7 @@ pub fn render_experiment(exp: &Experiment) -> String {
         exp.workload,
         exp.unit,
         exp.policy,
-        exp.outcomes.first().map_or(0, |o| o.samples.len()),
+        exp.outcomes.first().map_or(0, |o| o.records.len()),
         t.render()
     )
 }
@@ -98,7 +97,7 @@ pub fn render_runs(exp: &Experiment, configs: &[AsymConfig]) -> String {
     for c in configs {
         if let Some(o) = exp.outcome(*c) {
             let runs: Vec<String> = o
-                .samples
+                .samples()
                 .values()
                 .iter()
                 .map(|v| format!("{v:.1}"))

@@ -9,15 +9,14 @@
 //! so every cell of every selected figure shares the same host thread
 //! pool and lands in the same structured JSON report.
 
-use crate::{header, render_experiment, render_runs, stability_line};
-use asym_analysis::hb::check_concurrency;
-use asym_analysis::{analyze_trace, render_violations, ViolationLog};
+use crate::{
+    concurrency_check, header, lint_check, render_experiment, render_runs, stability_line,
+};
 use asym_core::{
-    run_experiment_differential, AsymConfig, ExperimentOptions, ResilientOptions, RunClass,
-    RunSetup, Scalability, SpecMode, SpecResult, SummaryRow, TextTable, Workload, WorkloadClass,
+    run_experiment, AsymConfig, Experiment, ExperimentOptions, ResilientOptions, RunClass,
+    RunSetup, SpecMode, SummaryRow, TextTable, TraceCheck, Workload, WorkloadClass,
 };
 use asym_kernel::{capture_traces, with_run_guard, RunGuard, SchedPolicy};
-use asym_obs::{metrics_of_traces, ProfileMetrics};
 use asym_sim::{
     DutyCycle, EnvironmentPlan, EnvironmentProfile, FaultPlan, FaultProfile, SimDuration,
 };
@@ -29,7 +28,7 @@ use asym_workloads::specjbb::{GcKind, JvmKind, SpecJbb};
 use asym_workloads::specomp::{OmpVariant, SpecOmp};
 use asym_workloads::tpch::TpcH;
 use asym_workloads::webserver::{Apache, LoadLevel, Zeus};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Context a spec expands under.
 #[derive(Debug, Clone, Copy, Default)]
@@ -126,9 +125,9 @@ impl Rendered {
     }
 }
 
-/// Render callback: receives one [`SpecResult`] per section, in
-/// section order.
-pub type RenderFn = Box<dyn Fn(&[SpecResult]) -> Rendered>;
+/// Render callback: receives one [`Experiment`] per section, in section
+/// order.
+pub type RenderFn = Box<dyn Fn(&[Experiment]) -> Rendered>;
 
 /// A built sweep: sections to execute plus the render step.
 pub struct SweepDef {
@@ -325,7 +324,7 @@ fn fig1(_ctx: &SweepContext) -> SweepDef {
             ));
         }
     }
-    let render = Box::new(move |results: &[SpecResult]| {
+    let render = Box::new(move |results: &[Experiment]| {
         let mut out = String::new();
         let mut idx = 0;
         for (ci, (label, config, _, _, runs)) in curves.iter().enumerate() {
@@ -348,7 +347,7 @@ fn fig1(_ctx: &SweepContext) -> SweepDef {
             out.push('\n');
             for &w in &warehouses {
                 out += &format!("{w:>4}");
-                for v in results[idx].clean().outcomes[0].samples.values() {
+                for v in results[idx].outcomes[0].samples().values() {
                     out += &format!("  {v:>9.0}");
                 }
                 idx += 1;
@@ -374,8 +373,8 @@ fn fig2(_ctx: &SweepContext) -> SweepDef {
             0,
         ),
     ];
-    let render = Box::new(|results: &[SpecResult]| {
-        let (stock, aware) = (results[0].clean(), results[1].clean());
+    let render = Box::new(|results: &[Experiment]| {
+        let (stock, aware) = (&results[0], &results[1]);
         let mut out = String::new();
         out += &header(
             "Figure 2(a)",
@@ -417,13 +416,13 @@ fn fig3(_ctx: &SweepContext) -> SweepDef {
             7,
         ));
     }
-    let render = Box::new(move |results: &[SpecResult]| {
+    let render = Box::new(move |results: &[Experiment]| {
         let mut out = String::new();
         out += &header(
             "Figure 3(a)",
             "SPECjAppServer throughput per domain (injection 320/s)",
         );
-        let exp = results[0].clean();
+        let exp = &results[0];
         let mut t = TextTable::new(vec![
             "config",
             "total tx/s",
@@ -434,10 +433,10 @@ fn fig3(_ctx: &SweepContext) -> SweepDef {
         for o in &exp.outcomes {
             t.row(vec![
                 o.config.to_string(),
-                format!("{:.0}", o.samples.mean()),
-                format!("{:.0}", o.extras_mean["new_order_per_sec"]),
-                format!("{:.0}", o.extras_mean["manufacturing_per_sec"]),
-                format!("{:.2}", o.samples.cov() * 100.0),
+                format!("{:.0}", o.samples().mean()),
+                format!("{:.0}", o.extras_mean()["new_order_per_sec"]),
+                format!("{:.0}", o.extras_mean()["manufacturing_per_sec"]),
+                format!("{:.2}", o.samples().cov() * 100.0),
             ]);
         }
         out += &format!("{}\n", t.render());
@@ -447,14 +446,14 @@ fn fig3(_ctx: &SweepContext) -> SweepDef {
         );
         for (i, rate) in rates.iter().enumerate() {
             out += &format!("injection rate {rate}/s:\n");
-            let exp = results[1 + i].clean();
+            let exp = &results[1 + i];
             let mut t = TextTable::new(vec!["config", "avg ms", "90% ms", "max ms"]);
             for o in &exp.outcomes {
                 t.row(vec![
                     o.config.to_string(),
-                    format!("{:.1}", o.extras_mean["mfg_avg_ms"]),
-                    format!("{:.1}", o.extras_mean["mfg_p90_ms"]),
-                    format!("{:.1}", o.extras_mean["mfg_max_ms"]),
+                    format!("{:.1}", o.extras_mean()["mfg_avg_ms"]),
+                    format!("{:.1}", o.extras_mean()["mfg_p90_ms"]),
+                    format!("{:.1}", o.extras_mean()["mfg_max_ms"]),
                 ]);
             }
             out += &format!("{}\n", t.render());
@@ -484,15 +483,15 @@ fn fig4(_ctx: &SweepContext) -> SweepDef {
             3,
         ),
     ];
-    let render = Box::new(|results: &[SpecResult]| {
+    let render = Box::new(|results: &[Experiment]| {
         let mut out = String::new();
         out += &header(
             "Figure 4(a)",
             "TPC-H power run (22 queries), par=4 opt=7, 4 runs",
         );
-        out += &format!("{}\n", render_experiment(results[0].clean()));
+        out += &format!("{}\n", render_experiment(&results[0]));
         out += &header("Figure 4(b)", "TPC-H Query 3 runtime, 13 runs");
-        let q3 = results[1].clean();
+        let q3 = &results[1];
         out += &format!("{}\n", render_experiment(q3));
         out += "Per-run scatter (binding lottery):\n";
         out += &format!(
@@ -542,8 +541,8 @@ fn fig5(_ctx: &SweepContext) -> SweepDef {
             0,
         ),
     ];
-    let render = Box::new(|results: &[SpecResult]| {
-        let (p8, o2, p4) = (results[0].clean(), results[1].clean(), results[2].clean());
+    let render = Box::new(|results: &[Experiment]| {
+        let (p8, o2, p4) = (&results[0], &results[1], &results[2]);
         let mut out = String::new();
         out += &header(
             "Figure 5(a)",
@@ -603,7 +602,7 @@ fn fig6(_ctx: &SweepContext) -> SweepDef {
             0,
         ),
     ];
-    let render = Box::new(|results: &[SpecResult]| {
+    let render = Box::new(|results: &[Experiment]| {
         let scatter = [
             AsymConfig::new(3, 1, 8),
             AsymConfig::new(2, 2, 8),
@@ -611,25 +610,25 @@ fn fig6(_ctx: &SweepContext) -> SweepDef {
         ];
         let mut out = String::new();
         out += &header("Figure 6(a)", "Apache light load (10 concurrent), 6 runs");
-        let light = results[0].clean();
+        let light = &results[0];
         out += &format!("{}\n", render_experiment(light));
         out += &format!("Per-run scatter:\n{}\n", render_runs(light, &scatter));
         out += &header(
             "Figure 6(a) companion",
             "Apache heavy load (60 concurrent), 4 runs",
         );
-        out += &format!("{}\n", render_experiment(results[1].clean()));
+        out += &format!("{}\n", render_experiment(&results[1]));
         out += &header(
             "Figure 6(b)",
             "Apache light load with the two fixes, 6 runs each",
         );
         out += &format!(
             "asymmetry-aware kernel:\n{}\n",
-            render_experiment(results[2].clean())
+            render_experiment(&results[2])
         );
         out += &format!(
             "fine-grained threads (recycle every 50 requests):\n{}\n",
-            render_experiment(results[3].clean())
+            render_experiment(&results[3])
         );
         Rendered::text(out)
     });
@@ -665,13 +664,13 @@ fn fig7(_ctx: &SweepContext) -> SweepDef {
             0,
         ),
     ];
-    let render = Box::new(|results: &[SpecResult]| {
+    let render = Box::new(|results: &[Experiment]| {
         let scatter = [
             AsymConfig::new(3, 1, 8),
             AsymConfig::new(2, 2, 8),
             AsymConfig::new(1, 3, 8),
         ];
-        let (light, heavy, aware) = (results[0].clean(), results[1].clean(), results[2].clean());
+        let (light, heavy, aware) = (&results[0], &results[1], &results[2]);
         let mut out = String::new();
         out += &header(
             "Figure 7(a)",
@@ -719,7 +718,7 @@ fn fig8(_ctx: &SweepContext) -> SweepDef {
             }
         }
     }
-    let render = Box::new(move |results: &[SpecResult]| {
+    let render = Box::new(move |results: &[Experiment]| {
         let mut out = String::new();
         let mut idx = 0;
         for variant in variants {
@@ -745,8 +744,8 @@ fn fig8(_ctx: &SweepContext) -> SweepDef {
             for bench in SpecOmp::all() {
                 let mut cells = vec![bench.benchmark.to_string()];
                 for _ in &configs {
-                    let vals: Vec<String> = results[idx].clean().outcomes[0]
-                        .samples
+                    let vals: Vec<String> = results[idx].outcomes[0]
+                        .samples()
                         .values()
                         .iter()
                         .map(|v| format!("{v:.1}"))
@@ -772,12 +771,12 @@ fn fig9(_ctx: &SweepContext) -> SweepDef {
         Section::clean("fig9/h264", Box::new(H264::new()), &nine, os, 4, 0),
         Section::clean("fig9/pmake", Box::new(Pmake::new()), &nine, os, 2, 0),
     ];
-    let render = Box::new(|results: &[SpecResult]| {
+    let render = Box::new(|results: &[Experiment]| {
         let mut out = String::new();
         out += &header("Figure 9(a)", "H.264 multithreaded encoding, 4 runs");
-        out += &format!("{}\n", render_experiment(results[0].clean()));
+        out += &format!("{}\n", render_experiment(&results[0]));
         out += &header("Figure 9(b)", "PMAKE (make -j4), 2 runs");
-        out += &format!("{}\n", render_experiment(results[1].clean()));
+        out += &format!("{}\n", render_experiment(&results[1]));
         out += "Shape check: both are stable; 1f-3s/8 beats 0f-4s/4 and 0f-4s/8\n\
                 (one fast core carries serial work and soaks up parallel work).\n";
         Rendered::text(out)
@@ -794,7 +793,7 @@ fn fig10(_ctx: &SweepContext) -> SweepDef {
             Section::clean(label, w, &nine, SchedPolicy::os_default(), 3, 0)
         })
         .collect();
-    let render = Box::new(|results: &[SpecResult]| {
+    let render = Box::new(|results: &[Experiment]| {
         let mut out = String::new();
         out += &header(
             "Figure 10",
@@ -804,12 +803,13 @@ fn fig10(_ctx: &SweepContext) -> SweepDef {
         head.extend(AsymConfig::standard_nine().iter().map(|c| c.to_string()));
         let mut t = TextTable::new(head);
         let baseline = AsymConfig::new(0, 4, 8);
-        for r in results {
-            let exp = r.clean();
+        for exp in results {
             let speedups = exp.speedups_over(baseline);
             let mut cells = vec![exp.workload.clone()];
             for (config, speedup) in speedups {
-                let cov = exp.outcome(config).map_or(0.0, |o| o.samples.cov() * 100.0);
+                let cov = exp
+                    .outcome(config)
+                    .map_or(0.0, |o| o.samples().cov() * 100.0);
                 cells.push(format!("{speedup:.2} ±{cov:.0}%"));
             }
             t.row(cells);
@@ -920,8 +920,8 @@ fn table1(_ctx: &SweepContext) -> SweepDef {
         Section::clean("table1/h264", Box::new(H264::new()), &nine, stock, runs, 0),
         Section::clean("table1/pmake", Box::new(Pmake::new()), &nine, stock, 2, 0),
     ];
-    let render = Box::new(|results: &[SpecResult]| {
-        let exp = |i: usize| results[i].clean();
+    let render = Box::new(|results: &[Experiment]| {
+        let exp = |i: usize| &results[i];
         // Scaling efficiency bound used for the "is scalability
         // predictable" verdict; SPEC OMP's slowest-core pacing falls
         // far below it.
@@ -1028,18 +1028,18 @@ fn extra_asym_degree(_ctx: &SweepContext) -> SweepDef {
         6,
         0,
     )];
-    let render = Box::new(|results: &[SpecResult]| {
+    let render = Box::new(|results: &[Experiment]| {
         let mut out = String::new();
         out += &header(
             "Extra (§3.4.2)",
             "Degree of asymmetry vs instability (Apache light load, 6 runs)",
         );
         let mut t = TextTable::new(vec!["config", "mean req/s", "cov%"]);
-        for o in &results[0].clean().outcomes {
+        for o in &results[0].outcomes {
             t.row(vec![
                 o.config.to_string(),
-                format!("{:.0}", o.samples.mean()),
-                format!("{:.1}", o.samples.cov() * 100.0),
+                format!("{:.0}", o.samples().mean()),
+                format!("{:.1}", o.samples().cov() * 100.0),
             ]);
         }
         out += &format!("{}\n", t.render());
@@ -1079,7 +1079,7 @@ fn extra_duty_sweep(_ctx: &SweepContext) -> SweepDef {
             1,
         ));
     }
-    let render = Box::new(move |results: &[SpecResult]| {
+    let render = Box::new(move |results: &[Experiment]| {
         let mut out = String::new();
         out += &header(
             "Extension",
@@ -1095,14 +1095,14 @@ fn extra_duty_sweep(_ctx: &SweepContext) -> SweepDef {
         ]);
         for (i, (duty, scale)) in steps.iter().enumerate() {
             let config = AsymConfig::new(2, 2, *scale);
-            let o = &results[2 * i].clean().outcomes[0];
-            let h = results[2 * i + 1].clean().outcomes[0].samples.values()[0];
+            let o = &results[2 * i].outcomes[0];
+            let h = results[2 * i + 1].outcomes[0].samples().values()[0];
             t.row(vec![
                 duty.to_string(),
                 config.to_string(),
                 format!("{:.2}", config.compute_power()),
-                format!("{:.1}", o.samples.cov() * 100.0),
-                format!("{:.0}", o.samples.mean()),
+                format!("{:.1}", o.samples().cov() * 100.0),
+                format!("{:.0}", o.samples().mean()),
                 format!("{h:.2}"),
             ]);
         }
@@ -1124,13 +1124,13 @@ fn extra_tpch_bimodal(_ctx: &SweepContext) -> SweepDef {
         14,
         0,
     )];
-    let render = Box::new(|results: &[SpecResult]| {
+    let render = Box::new(|results: &[Experiment]| {
         let mut out = String::new();
         out += &header(
             "Extra (§3.3)",
             "TPC-H Q3, parallelization off: bimodal fast/slow runtimes on 2f-2s/8",
         );
-        let mut runs = results[0].clean().outcomes[0].samples.values().to_vec();
+        let mut runs = results[0].outcomes[0].samples().values().to_vec();
         out += &format!(
             "runtimes (s): {:?}\n",
             runs.iter()
@@ -1202,21 +1202,22 @@ fn extra_fault_sweep(ctx: &SweepContext) -> SweepDef {
         AsymConfig::standard_nine()
     };
     let runs = if ctx.quick { 1 } else { 3 };
-    let log = ViolationLog::new();
     let sections: Vec<Section> = paper_workloads()
         .into_iter()
         .map(|w| {
             let label = format!("fault/{}", w.name());
-            let opts = ResilientOptions::new(runs)
-                .watchdog(SimDuration::from_secs(5))
-                .sim_time_budget(SimDuration::from_secs(120))
-                .retries(1)
-                .fault_planner(throttle_plan_for)
-                .observe_traces(log.observer());
+            let opts = ResilientOptions {
+                check: Some(lint_check()),
+                ..ResilientOptions::new(runs)
+                    .watchdog(SimDuration::from_secs(5))
+                    .sim_time_budget(SimDuration::from_secs(120))
+                    .retries(1)
+                    .fault_planner(throttle_plan_for)
+            };
             Section::resilient(label, w, &configs, policy, opts)
         })
         .collect();
-    let render = Box::new(move |results: &[SpecResult]| {
+    let render = Box::new(move |results: &[Experiment]| {
         let mut out = String::new();
         out += &header(
             "Extension",
@@ -1232,9 +1233,9 @@ fn extra_fault_sweep(ctx: &SweepContext) -> SweepDef {
         ]);
         let mut all_classified = true;
         let mut total_panicked = 0usize;
-        for r in results {
-            let exp = r.resilient();
-            let total: usize = exp.outcomes.iter().map(|o| o.records.len()).sum();
+        let mut violations = 0usize;
+        for exp in results {
+            let total = exp.total_runs();
             let completed = exp.count(RunClass::Completed);
             let retries: u32 = exp
                 .outcomes
@@ -1243,32 +1244,7 @@ fn extra_fault_sweep(ctx: &SweepContext) -> SweepDef {
                 .sum();
             all_classified &= total == configs.len() * runs;
             total_panicked += exp.count(RunClass::Panicked);
-
-            // Stability: worst CoV over configurations with >= 2
-            // completed runs. Scalability: mean performance of completed
-            // runs vs compute power, where at least two configurations
-            // answered.
-            let worst_cov = exp
-                .outcomes
-                .iter()
-                .filter_map(|o| o.completed_samples())
-                .filter(|s| s.len() >= 2)
-                .map(|s| s.cov())
-                .fold(f64::NAN, f64::max);
-            let points: Vec<(f64, f64)> = exp
-                .outcomes
-                .iter()
-                .filter_map(|o| {
-                    o.completed_samples().map(|s| {
-                        (
-                            o.config.compute_power(),
-                            exp.direction.performance(s.mean()),
-                        )
-                    })
-                })
-                .collect();
-            let scal = (points.len() >= 2).then(|| Scalability::from_points(&points));
-
+            violations += exp.total_violations();
             table.row(vec![
                 exp.workload.clone(),
                 format!("{completed}/{total}"),
@@ -1280,19 +1256,16 @@ fn extra_fault_sweep(ctx: &SweepContext) -> SweepDef {
                     exp.count(RunClass::Panicked)
                 ),
                 retries.to_string(),
-                if worst_cov.is_nan() {
-                    "-".to_string()
-                } else {
-                    format!("{:.1}", worst_cov * 100.0)
-                },
-                scal.map_or("-".to_string(), |s| format!("{:.2}", s.worst_efficiency)),
+                exp.worst_completed_cov()
+                    .map_or("-".to_string(), |c| format!("{:.1}", c * 100.0)),
+                exp.completed_scalability()
+                    .map_or("-".to_string(), |s| format!("{:.2}", s.worst_efficiency)),
             ]);
         }
         out += &format!("{}\n", table.render());
         out += "classes: tl = time-limit, st = stalled, dl = deadlock, pn = panicked\n";
 
         let deterministic = same_seed_guarded_reruns_match(policy, configs[0]);
-        let violations = log.count();
         out += &format!(
             "checkers on faulted traces: {violations} violation(s); \
              same-seed rerun hashes identical: {}\n",
@@ -1329,8 +1302,11 @@ fn mean(vals: impl Iterator<Item = f64>) -> Option<f64> {
 /// same-seed reruns must be bit-identical even with kills injected.
 fn same_seed_differential_reruns_match(config: AsymConfig) -> bool {
     let w = H264::new();
-    let a = run_experiment_differential(&w, &[config], &differential_opts(1));
-    let b = run_experiment_differential(&w, &[config], &differential_opts(1));
+    let run = || {
+        let options = differential_opts(1);
+        run_experiment(&w, &[config], SpecMode::Differential { options })
+    };
+    let (a, b) = (run(), run());
     a == b && a.count(RunClass::Completed) > 0
 }
 
@@ -1348,7 +1324,7 @@ fn extra_absorption(ctx: &SweepContext) -> SweepDef {
             Section::differential(label, w, &configs, differential_opts(reps))
         })
         .collect();
-    let render = Box::new(move |results: &[SpecResult]| {
+    let render = Box::new(move |results: &[Experiment]| {
         let mut out = String::new();
         out += &header(
             "Extension",
@@ -1369,48 +1345,33 @@ fn extra_absorption(ctx: &SweepContext) -> SweepDef {
         ]);
         // Mean per-rep attribution delta (stock-faulted - aware-faulted),
         // integer milliseconds; "-" when no rep produced metrics.
-        let att = |o: &asym_core::DifferentialConfigOutcome,
-                   f: fn(&asym_obs::DiffAttribution) -> i64|
-         -> String {
-            let vals: Vec<i64> = o
-                .reps
-                .iter()
-                .filter_map(|r| r.diff.as_ref().map(f))
-                .collect();
-            if vals.is_empty() {
-                "-".to_string()
-            } else {
-                format!(
-                    "{:+}",
-                    vals.iter().sum::<i64>() / vals.len() as i64 / 1_000_000
-                )
-            }
-        };
+        let att =
+            |o: &asym_core::ConfigOutcome, f: fn(&asym_obs::DiffAttribution) -> i64| -> String {
+                let vals: Vec<i64> = o.diffs.iter().flatten().map(f).collect();
+                if vals.is_empty() {
+                    "-".to_string()
+                } else {
+                    format!(
+                        "{:+}",
+                        vals.iter().sum::<i64>() / vals.len() as i64 / 1_000_000
+                    )
+                }
+            };
         let mut all_classified = true;
         let mut total_panicked = 0usize;
         let mut total_lost = 0.0f64;
-        for r in results {
-            let exp = r.differential();
+        for exp in results {
             all_classified &= exp.total_runs() == configs.len() * reps * 4;
             total_panicked += exp.count(RunClass::Panicked);
             for o in &exp.outcomes {
-                let s_stock = mean(
-                    o.reps
-                        .iter()
-                        .filter_map(|rep| rep.stock_slowdown(exp.direction)),
-                );
-                let s_aware = mean(
-                    o.reps
-                        .iter()
-                        .filter_map(|rep| rep.aware_slowdown(exp.direction)),
-                );
+                let s_stock = mean(o.reps().filter_map(|rep| rep.stock_slowdown(exp.direction)));
+                let s_aware = mean(o.reps().filter_map(|rep| rep.aware_slowdown(exp.direction)));
                 // The `lost_workers` extras the legs report — proof the
                 // kill cells completed *and* accounted for their victims
                 // rather than silently dropping them.
                 let cell_lost: f64 = o
-                    .reps
+                    .records
                     .iter()
-                    .flat_map(|rep| rep.records())
                     .filter_map(|leg| leg.extra("lost_workers"))
                     .sum();
                 total_lost += cell_lost;
@@ -1501,7 +1462,10 @@ fn dynamic_opts(reps: usize, profile: EnvironmentProfile) -> ResilientOptions {
 fn same_seed_dynamic_reruns_match(config: AsymConfig) -> bool {
     let w = H264::new();
     let profile = EnvironmentProfile::combined(FAULT_HORIZON);
-    let run = || run_experiment_differential(&w, &[config], &dynamic_opts(1, profile));
+    let run = || {
+        let options = dynamic_opts(1, profile);
+        run_experiment(&w, &[config], SpecMode::Differential { options })
+    };
     let (a, b) = (run(), run());
     a == b && a.count(RunClass::Completed) > 0
 }
@@ -1529,7 +1493,7 @@ fn extra_dynamic(ctx: &SweepContext) -> SweepDef {
             ));
         }
     }
-    let render = Box::new(move |results: &[SpecResult]| {
+    let render = Box::new(move |results: &[Experiment]| {
         let mut out = String::new();
         out += &header(
             "Extension",
@@ -1550,21 +1514,15 @@ fn extra_dynamic(ctx: &SweepContext) -> SweepDef {
         let mut idx = 0;
         for (regime, _) in &regimes {
             for _ in 0..results.len() / regimes.len() {
-                let exp = results[idx].differential();
+                let exp = &results[idx];
                 idx += 1;
                 all_classified &= exp.total_runs() == configs.len() * reps * 4;
                 total_panicked += exp.count(RunClass::Panicked);
                 for o in &exp.outcomes {
-                    let s_stock = mean(
-                        o.reps
-                            .iter()
-                            .filter_map(|rep| rep.stock_slowdown(exp.direction)),
-                    );
-                    let s_aware = mean(
-                        o.reps
-                            .iter()
-                            .filter_map(|rep| rep.aware_slowdown(exp.direction)),
-                    );
+                    let s_stock =
+                        mean(o.reps().filter_map(|rep| rep.stock_slowdown(exp.direction)));
+                    let s_aware =
+                        mean(o.reps().filter_map(|rep| rep.aware_slowdown(exp.direction)));
                     // A regime "disturbed" a cell when the stock leg
                     // measurably moved off its clean baseline.
                     if s_stock.is_some_and(|s| (s - 1.0).abs() > 1e-9) {
@@ -1614,14 +1572,6 @@ fn extra_dynamic(ctx: &SweepContext) -> SweepDef {
         Rendered { text: out, ok }
     });
     SweepDef { sections, render }
-}
-
-/// One policy's accumulated tournament telemetry: profile metrics
-/// merged over every cell's traces, plus what the full analysis suite
-/// (single-trace checkers and the happens-before lints) found there.
-struct TournamentLog {
-    metrics: ProfileMetrics,
-    violations: usize,
 }
 
 /// Ranks `vals` (0 = best). `higher_better` flips the sort; NaN always
@@ -1676,47 +1626,32 @@ fn extra_tournament(ctx: &SweepContext) -> SweepDef {
     };
     let runs = if ctx.quick { 1 } else { 2 };
     let field = SchedPolicy::registry();
+    // The complete analysis suite: single-trace checkers, then the
+    // happens-before lints.
+    let (lints, hb) = (lint_check(), concurrency_check());
+    let check: TraceCheck = Arc::new(move |traces| {
+        let mut found = lints(traces);
+        found.extend(hb(traces));
+        found
+    });
     let mut sections = Vec::new();
-    let mut logs: Vec<Arc<Mutex<TournamentLog>>> = Vec::new();
     for (pname, policy) in &field {
-        let log = Arc::new(Mutex::new(TournamentLog {
-            metrics: ProfileMetrics::new(),
-            violations: 0,
-        }));
-        logs.push(Arc::clone(&log));
         for w in paper_workloads() {
             let label = format!("tourn/{pname}/{}", w.name());
-            let log = Arc::clone(&log);
-            let pname = pname.to_string();
-            let opts = ResilientOptions::new(runs)
-                .base_seed(4242)
-                .watchdog(SimDuration::from_secs(5))
-                .sim_time_budget(SimDuration::from_secs(120))
-                .retries(1)
-                .observe_traces(move |setup, _result, traces| {
-                    let mut found = Vec::new();
-                    for trace in traces {
-                        found.extend(analyze_trace(trace));
-                        found.extend(check_concurrency(trace));
-                    }
-                    let mut log = log.lock().unwrap();
-                    log.metrics.merge(&metrics_of_traces(traces));
-                    if !found.is_empty() {
-                        log.violations += found.len();
-                        eprintln!(
-                            "  [VIOLATION] {pname} seed {} @ {}: {}",
-                            setup.seed,
-                            setup.config,
-                            render_violations(&found)
-                        );
-                    }
-                });
+            let opts = ResilientOptions {
+                check: Some(Arc::clone(&check)),
+                ..ResilientOptions::new(runs)
+                    .base_seed(4242)
+                    .watchdog(SimDuration::from_secs(5))
+                    .sim_time_budget(SimDuration::from_secs(120))
+                    .retries(1)
+            };
             sections.push(Section::resilient(label, w, &configs, *policy, opts));
         }
     }
     let names: Vec<&'static str> = field.iter().map(|(n, _)| *n).collect();
     let policies: Vec<SchedPolicy> = field.iter().map(|(_, p)| *p).collect();
-    let render = Box::new(move |results: &[SpecResult]| {
+    let render = Box::new(move |results: &[Experiment]| {
         let mut out = String::new();
         out += &header(
             "Extension",
@@ -1737,46 +1672,33 @@ fn extra_tournament(ctx: &SweepContext) -> SweepDef {
         for (pi, _) in names.iter().enumerate() {
             let slice = &results[pi * per_policy..(pi + 1) * per_policy];
             let (mut completed, mut total) = (0usize, 0usize);
+            let (mut fast_idle_ns, mut violations) = (0u64, 0usize);
             let mut worst_cov = f64::NAN;
             let mut effs: Vec<f64> = Vec::new();
-            for r in slice {
-                let exp = r.resilient();
-                let t: usize = exp.outcomes.iter().map(|o| o.records.len()).sum();
+            for exp in slice {
+                let t = exp.total_runs();
                 total += t;
                 completed += exp.count(RunClass::Completed);
                 all_classified &= t == configs.len() * runs;
                 total_panicked += exp.count(RunClass::Panicked);
-                worst_cov = exp
-                    .outcomes
-                    .iter()
-                    .filter_map(|o| o.completed_samples())
-                    .filter(|s| s.len() >= 2)
-                    .map(|s| s.cov())
-                    .fold(worst_cov, f64::max);
-                let points: Vec<(f64, f64)> = exp
-                    .outcomes
-                    .iter()
-                    .filter_map(|o| {
-                        o.completed_samples().map(|s| {
-                            (
-                                o.config.compute_power(),
-                                exp.direction.performance(s.mean()),
-                            )
-                        })
-                    })
-                    .collect();
-                if points.len() >= 2 {
-                    effs.push(Scalability::from_points(&points).worst_efficiency);
+                violations += exp.total_violations();
+                if let Some(cov) = exp.worst_completed_cov() {
+                    worst_cov = worst_cov.max(cov);
                 }
+                effs.extend(exp.completed_scalability().map(|s| s.worst_efficiency));
+                let records = exp.outcomes.iter().flat_map(|o| &o.records);
+                fast_idle_ns += records
+                    .filter_map(|r| r.metrics.as_ref())
+                    .map(|m| m.fast_idle_slow_runnable_ns)
+                    .sum::<u64>();
             }
-            let log = logs[pi].lock().unwrap();
             rows.push(Row {
                 completed,
                 total,
                 worst_cov,
                 scal: mean(effs.iter().copied()).unwrap_or(f64::NAN),
-                fast_idle_ms: log.metrics.fast_idle_slow_runnable_ns as f64 / 1e6,
-                violations: log.violations,
+                fast_idle_ms: fast_idle_ns as f64 / 1e6,
+                violations,
             });
         }
 
@@ -1913,7 +1835,7 @@ fn extra_scale(ctx: &SweepContext) -> SweepDef {
     let names: Vec<&'static str> = field.iter().map(|(n, _)| *n).collect();
     let regime_names: Vec<&'static str> = regimes.iter().map(|(n, _)| *n).collect();
     let expected = configs.len() * runs;
-    let render = Box::new(move |results: &[SpecResult]| {
+    let render = Box::new(move |results: &[Experiment]| {
         let mut out = String::new();
         out += &header(
             "Extension",
@@ -1934,9 +1856,9 @@ fn extra_scale(ctx: &SweepContext) -> SweepDef {
         let mut idx = 0;
         for pname in &names {
             for rname in &regime_names {
-                let exp = results[idx].resilient();
+                let exp = &results[idx];
                 idx += 1;
-                let cells: usize = exp.outcomes.iter().map(|o| o.records.len()).sum();
+                let cells = exp.total_runs();
                 total_cells += cells;
                 all_classified &= cells == expected;
                 total_panicked += exp.count(RunClass::Panicked);
@@ -1996,16 +1918,15 @@ fn mini(_ctx: &SweepContext) -> SweepDef {
         Section::clean("mini/h264", Box::new(H264::new()), &nine, os, 2, 0),
         Section::clean("mini/pmake", Box::new(Pmake::new()), &nine, os, 2, 0),
     ];
-    let render = Box::new(|results: &[SpecResult]| {
+    let render = Box::new(|results: &[Experiment]| {
         let mut out = String::new();
         out += &header(
             "Mini",
             "CI smoke sweep: H.264 + PMAKE, nine configurations, 2 runs each",
         );
         let mut ok = true;
-        for r in results {
-            let exp = r.clean();
-            ok &= exp.outcomes.len() == 9 && exp.outcomes.iter().all(|o| o.samples.len() == 2);
+        for exp in results {
+            ok &= exp.outcomes.len() == 9 && exp.outcomes.iter().all(|o| o.samples().len() == 2);
             out += &format!("{}\n", render_experiment(exp));
             out += &format!("{}\n", stability_line(exp));
         }

@@ -72,7 +72,11 @@ fn dynamic_environment_cells_are_identical_across_jobs() {
     }
     assert_eq!(serial.results.len(), pooled.results.len());
     for (a, b) in serial.results.iter().zip(&pooled.results) {
-        assert_eq!(a.differential(), b.differential());
+        assert_eq!(a, b);
+        assert!(
+            a.outcomes.iter().all(|o| !o.diffs.is_empty()),
+            "differential"
+        );
     }
     // The environments actually reached the kernels: the disturbed legs
     // recorded speed changes and the aware legs re-ranked somewhere.

@@ -6,10 +6,11 @@
 //! fault and environment plans, and the harness options that can alter
 //! execution (mode, retries, budgets). The engine renders that key as
 //! one readable line (see `cache_key` in the engine module), and this
-//! module maps it to an entry file holding everything a re-run would
-//! recompute: classification, attempts, the primary value, secondary
-//! extras, the folded trace hash, and (optionally) the merged
-//! [`ProfileMetrics`].
+//! module maps it to an entry file holding the cell's [`RunRecord`] —
+//! everything a re-run would recompute: classification, attempts, the
+//! primary value, secondary extras, the folded trace hash, and
+//! (optionally) the merged [`ProfileMetrics`]. Check findings are never
+//! stored: cells under a trace check do not consult the cache.
 //!
 //! Invalidation is by *code fingerprint*: the build script hashes every
 //! `.rs` file under `crates/*/src` into `ASYM_BUILD_FINGERPRINT`, and
@@ -33,6 +34,7 @@ use std::hash::Hasher as _;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Format tag on the first line of every entry; bump it to orphan all
 /// existing entries when the entry layout itself changes.
@@ -46,8 +48,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Cacheable cells with no usable entry (executed, then stored).
     pub misses: u64,
-    /// Cells that can never be cached (differential mode, observers,
-    /// or an installed trace check) and did not consult the cache.
+    /// Cells that can never be cached (differential mode, a spec's own
+    /// trace check, or the runner's) and did not consult the cache.
     pub skips: u64,
     /// Entries written after executing a miss or a stale cell.
     pub stores: u64,
@@ -67,24 +69,11 @@ impl CacheStats {
     }
 }
 
-/// What one cacheable cell's entry records — everything the engine
-/// needs to rebuild the cell outcome without running the simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct CellEntry {
-    /// The cell's run record: seed of the recorded attempt, attempts,
-    /// class, value, and extras.
-    pub(crate) record: RunRecord,
-    /// Folded kernel-trace hash of the final attempt.
-    pub(crate) trace_hash: Option<u64>,
-    /// Merged observability metrics, when the writing run wanted them.
-    pub(crate) metrics: Option<ProfileMetrics>,
-}
-
 /// Result of a cache probe.
 #[derive(Debug)]
 pub(crate) enum Lookup {
     /// A usable entry written by this build.
-    Hit(Box<CellEntry>),
+    Hit(Box<RunRecord>),
     /// No entry, an unreadable entry, a key collision, or an entry
     /// missing metrics the caller needs.
     Miss,
@@ -150,24 +139,23 @@ impl CellCache {
         let Ok(text) = fs::read_to_string(self.entry_path(key)) else {
             return Lookup::Miss;
         };
-        let Some((fingerprint, entry)) = parse_entry(&text, key) else {
+        let Some((fingerprint, mut record)) = parse_entry(&text, key) else {
             return Lookup::Miss;
         };
         if fingerprint != self.fingerprint {
             return Lookup::Stale;
         }
-        let mut entry = entry;
-        if want_metrics && entry.metrics.is_none() {
+        if want_metrics && record.metrics.is_none() {
             return Lookup::Miss;
         }
         if !want_metrics {
-            entry.metrics = None;
+            record.metrics = None;
         }
-        Lookup::Hit(Box::new(entry))
+        Lookup::Hit(Box::new(record))
     }
 
     /// Writes (or overwrites) the entry for `key` atomically.
-    pub(crate) fn store(&self, key: &str, entry: &CellEntry) -> io::Result<()> {
+    pub(crate) fn store(&self, key: &str, record: &RunRecord) -> io::Result<()> {
         let path = self.entry_path(key);
         let dir = path.parent().expect("entry path has a fanout directory");
         fs::create_dir_all(dir)?;
@@ -176,7 +164,7 @@ impl CellCache {
             std::process::id(),
             TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        fs::write(&temp, render_entry(&self.fingerprint, key, entry))?;
+        fs::write(&temp, render_entry(&self.fingerprint, key, record))?;
         fs::rename(&temp, &path)
     }
 }
@@ -190,23 +178,22 @@ fn key_digest(key: &str) -> u64 {
     h.finish()
 }
 
-fn render_entry(fingerprint: &str, key: &str, e: &CellEntry) -> String {
+fn render_entry(fingerprint: &str, key: &str, r: &RunRecord) -> String {
     let mut out = String::with_capacity(512);
     let _ = writeln!(out, "{MAGIC}");
     let _ = writeln!(out, "fingerprint {fingerprint}");
     let _ = writeln!(out, "key {key}");
-    let r = &e.record;
     let _ = writeln!(out, "class {}", r.class);
     let _ = writeln!(out, "attempts {}", r.attempts);
     let _ = writeln!(out, "seed {}", r.seed);
     let _ = writeln!(out, "value {}", render_f64(r.value));
-    let _ = writeln!(out, "trace_hash {}", render_u64(e.trace_hash));
+    let _ = writeln!(out, "trace_hash {}", render_u64(r.trace_hash));
     let _ = writeln!(out, "extras {}", r.extras.len());
     for (name, v) in &r.extras {
         // The name goes last so it may contain spaces.
         let _ = writeln!(out, "x {:016x} {name}", v.to_bits());
     }
-    match &e.metrics {
+    match &r.metrics {
         None => {
             let _ = writeln!(out, "metrics none");
         }
@@ -261,10 +248,10 @@ fn render_u64(v: Option<u64>) -> String {
     v.map_or_else(|| "none".to_string(), |v| format!("{v:016x}"))
 }
 
-/// Parses an entry, returning its fingerprint and payload. `None` on
+/// Parses an entry, returning its fingerprint and record. `None` on
 /// any malformation or if the stored key differs from `expect_key`
 /// (digest collision) — both degrade to a miss.
-fn parse_entry(text: &str, expect_key: &str) -> Option<(String, CellEntry)> {
+fn parse_entry(text: &str, expect_key: &str) -> Option<(String, RunRecord)> {
     let mut lines = text.lines();
     if lines.next()? != MAGIC {
         return None;
@@ -301,7 +288,7 @@ fn parse_entry(text: &str, expect_key: &str) -> Option<(String, CellEntry)> {
             }
             let sched_latency = parse_hist(field(lines.next()?, "hl")?)?;
             let run_quantum = parse_hist(field(lines.next()?, "hq")?)?;
-            Some(ProfileMetrics {
+            Some(Arc::new(ProfileMetrics {
                 kernels: ints[0],
                 sim_ns: ints[1],
                 busy_ns: ints[2],
@@ -318,22 +305,21 @@ fn parse_entry(text: &str, expect_key: &str) -> Option<(String, CellEntry)> {
                 tracking_lag_ns: ints[13],
                 sched_latency,
                 run_quantum,
-            })
+            }))
         }
         _ => return None,
     };
     Some((
         fingerprint,
-        CellEntry {
-            record: RunRecord {
-                seed,
-                attempts,
-                class,
-                value,
-                extras,
-            },
+        RunRecord {
+            seed,
+            attempts,
+            class,
+            value,
+            extras,
             trace_hash,
             metrics,
+            violations: Vec::new(),
         },
     ))
 }
@@ -397,7 +383,7 @@ mod tests {
         CellCache::open(dir).expect("temp cache opens")
     }
 
-    fn sample_entry(metrics: bool) -> CellEntry {
+    fn sample_entry(metrics: bool) -> RunRecord {
         let metrics = metrics.then(|| {
             let mut m = ProfileMetrics::new();
             m.kernels = 2;
@@ -407,21 +393,20 @@ mod tests {
             m.sched_latency.record(SimDuration::from_nanos(900));
             m.run_quantum.record(SimDuration::from_nanos(1 << 20));
             m.run_quantum.record(SimDuration::ZERO);
-            m
+            Arc::new(m)
         });
-        CellEntry {
-            record: RunRecord {
-                seed: 42_007,
-                attempts: 3,
-                class: RunClass::TimeLimit,
-                value: Some(-0.0625),
-                extras: vec![
-                    ("nan".to_string(), f64::NAN),
-                    ("p90 latency".to_string(), 1.5),
-                ],
-            },
+        RunRecord {
+            seed: 42_007,
+            attempts: 3,
+            class: RunClass::TimeLimit,
+            value: Some(-0.0625),
+            extras: vec![
+                ("nan".to_string(), f64::NAN),
+                ("p90 latency".to_string(), 1.5),
+            ],
             trace_hash: Some(0xdead_beef_cafe_f00d),
             metrics,
+            violations: Vec::new(),
         }
     }
 
@@ -433,17 +418,17 @@ mod tests {
         cache.store(key, &entry).expect("store succeeds");
         match cache.load(key, true) {
             Lookup::Hit(got) => {
-                let (r, want) = (&got.record, &entry.record);
+                let (r, want) = (&*got, &entry);
                 assert_eq!(r.class, want.class);
                 assert_eq!(r.attempts, want.attempts);
                 assert_eq!(r.seed, want.seed);
                 assert_eq!(r.value.map(f64::to_bits), want.value.map(f64::to_bits));
-                assert_eq!(got.trace_hash, entry.trace_hash);
+                assert_eq!(r.trace_hash, want.trace_hash);
                 assert_eq!(r.extras.len(), 2);
                 assert_eq!(r.extras[0].0, "nan");
                 assert!(r.extras[0].1.is_nan());
                 assert_eq!(r.extras[1], want.extras[1]);
-                assert_eq!(got.metrics, entry.metrics);
+                assert_eq!(r.metrics, want.metrics);
             }
             other => panic!("expected hit, got {other:?}"),
         }

@@ -16,7 +16,10 @@
 //! undisturbed/disturbed) for differential cells — and every leg runs
 //! through the same guarded, classified retry loop, producing one
 //! [`RunRecord`]. Clean mode is that loop with no retries and an empty
-//! guard. Cells are deduplicated and cached under one key: the first
+//! guard. Records are the unit of every result: the assembled
+//! [`Experiment`]s hold them, the on-disk cache stores them, and each
+//! cell's [`CellReport`] is derived from them. Cells are deduplicated
+//! and cached under one key: the first
 //! cell with a given key executes (or is restored from the on-disk
 //! [`CellCache`]), and later cells with the same key copy its outcome.
 //!
@@ -26,15 +29,13 @@
 //! hand-rolled writer, no dependencies) — the repository's perf
 //! trajectory artifact (`BENCH_sweep.json`).
 
-use crate::cache::{CacheStats, CellCache, CellEntry, Lookup};
+use crate::cache::{CacheStats, CellCache, Lookup};
 use crate::config::AsymConfig;
 use crate::experiment::{
-    ConfigOutcome, DifferentialConfigOutcome, DifferentialExperiment, DifferentialRep, Experiment,
-    ExperimentOptions, ResilientConfigOutcome, ResilientExperiment, ResilientOptions, RunClass,
-    RunObserver, RunRecord,
+    ConfigOutcome, DifferentialRep, Experiment, ExperimentOptions, ResilientOptions, RunClass,
+    RunRecord,
 };
-use crate::metrics::Samples;
-use crate::workload::{RunResult, RunSetup, Workload};
+use crate::workload::{RunSetup, Workload};
 use asym_kernel::{
     capture_stream, capture_traces, fold_trace_hashes, with_run_guard, RunGuard, RunOutcome,
     SchedPolicy, TraceConsumer, TraceEvent, TraceHashFold, TraceHasher,
@@ -91,24 +92,24 @@ pub enum SpecMode {
         options: ExperimentOptions,
     },
     /// The resilient harness: guarded, classified, adaptively retried
-    /// runs (see [`run_experiment_resilient`](crate::run_experiment_resilient)).
+    /// runs (see [`run_experiment`](crate::run_experiment)).
     Resilient {
         /// Scheduling policy for every run.
         policy: SchedPolicy,
-        /// Slots, retries, watchdog, budget, fault planner, observer.
+        /// Slots, retries, watchdog, budget, plans, trace check.
         options: ResilientOptions,
     },
     /// The differential harness: each cell runs four times (stock/aware
     /// × clean/faulted) from one seed and one shared fault plan (see
-    /// [`run_experiment_differential`](crate::run_experiment_differential)).
+    /// [`run_experiment`](crate::run_experiment)).
     Differential {
-        /// Repeats, retries, watchdog, budget, fault planner, observer.
+        /// Repeats, retries, watchdog, budget, plans, trace check.
         options: ResilientOptions,
     },
 }
 
 /// The options clean cells run their single leg under: no retries, no
-/// watchdog, no budget, no plans, no observer — an empty, inert
+/// watchdog, no budget, no plans, no check — an empty, inert
 /// [`RunGuard`].
 static CLEAN: ResilientOptions = ResilientOptions::new(1).retries(0);
 
@@ -135,6 +136,15 @@ impl SpecMode {
         match self {
             SpecMode::Clean { options, .. } => (options.runs, options.base_seed),
             _ => (self.leg_options().runs, self.leg_options().base_seed),
+        }
+    }
+
+    /// The policy recorded per cell and per result: the run policy, or
+    /// the canonical stock policy for differential cells (which run both).
+    fn policy(&self) -> SchedPolicy {
+        match self {
+            SpecMode::Clean { policy, .. } | SpecMode::Resilient { policy, .. } => *policy,
+            SpecMode::Differential { .. } => SchedPolicy::os_default(),
         }
     }
 }
@@ -209,12 +219,7 @@ impl<'w> ExperimentPlan<'w> {
         assert!(!configs.is_empty(), "need at least one configuration");
         assert!(runs > 0, "need at least one run");
         let index = self.specs.len();
-        // The policy recorded per cell: the run policy, or the canonical
-        // stock policy for differential cells (which run both).
-        let policy = match &mode {
-            SpecMode::Clean { policy, .. } | SpecMode::Resilient { policy, .. } => *policy,
-            SpecMode::Differential { .. } => SchedPolicy::os_default(),
-        };
+        let policy = mode.policy();
         let options = mode.leg_options();
         for (j, &config) in configs.iter().enumerate() {
             for i in 0..runs {
@@ -305,14 +310,14 @@ fn plan_digest(plan: &impl Hash) -> u64 {
 }
 
 /// The key of one cell, or `None` when the cell is never deduplicated
-/// or cached: cells with a trace observer — the observer must see every
-/// requested run — and differential cells, whose four legs are paired
-/// in one cell. `spec_key` is the owning spec's
+/// or cached: cells of a spec with its own trace check — the check must
+/// see every requested run — and differential cells, whose four legs
+/// are paired in one cell. `spec_key` is the owning spec's
 /// [`Workload::spec_key`], rendered once per spec.
 fn cache_key<'a>(spec: &PlanSpec<'_>, spec_key: &'a str, cell: &Cell) -> Option<CellKey<'a>> {
     let knobs = match &spec.mode {
         SpecMode::Clean { .. } => None,
-        SpecMode::Resilient { options, .. } if options.observer.is_none() => {
+        SpecMode::Resilient { options, .. } if options.check.is_none() => {
             Some((options.retries, options.sim_time_budget, options.watchdog))
         }
         _ => return None,
@@ -341,12 +346,23 @@ pub(crate) const RETRY_SEED_STRIDE: u64 = 7919;
 /// budget each attempt, up to this multiple of the configured budget.
 pub(crate) const MAX_BUDGET_FACTOR: u32 = 8;
 
-/// A per-cell trace check: runs over every kernel trace a cell's final
-/// attempt captured and returns rendered findings (empty = clean). The
-/// engine stays agnostic about what is checked — `asym-analysis` plugs
-/// its happens-before race detection and policy lints in through this
-/// hook (see `asym_sweep --check`).
+/// A trace check: runs over every kernel trace one attempt captured and
+/// returns rendered findings (empty = clean). The engine stays agnostic
+/// about what is checked — `asym-analysis` plugs its happens-before race
+/// detection and policy lints in through this hook, either for a whole
+/// run ([`CellRunner::with_trace_check`], `asym_sweep --check`) or for
+/// one spec ([`ResilientOptions::check`]).
 pub type TraceCheck = Arc<dyn Fn(&[asym_kernel::KernelTrace]) -> Vec<String> + Send + Sync>;
+
+/// The four legs of a differential cell, in leg order: name, whether
+/// the leg runs the asymmetry-aware policy (else stock), and whether it
+/// runs under the cell's fault and environment plans.
+const DIFFERENTIAL_LEGS: [(&str, bool, bool); 4] = [
+    ("stock-clean", false, false),
+    ("stock-faulted", false, true),
+    ("aware-clean", true, false),
+    ("aware-faulted", true, true),
+];
 
 /// What one executed cell produced, before reassembly.
 #[derive(Clone)]
@@ -356,41 +372,12 @@ struct CellOutcome {
     legs: Vec<RunRecord>,
     /// Differential cells: the attribution between the disturbed legs.
     diff: Option<DiffAttribution>,
-    /// The primary metric: the leg's value, or a differential cell's
-    /// absorption.
-    value: Option<f64>,
-    /// Trace hash, metrics, and check findings of the final attempt(s).
-    facts: TraceFacts,
     wall_nanos: u64,
     memoized: bool,
     cached: bool,
 }
 
 impl CellOutcome {
-    /// A freshly executed outcome.
-    fn new(
-        legs: Vec<RunRecord>,
-        value: Option<f64>,
-        diff: Option<DiffAttribution>,
-        facts: TraceFacts,
-    ) -> Self {
-        CellOutcome {
-            legs,
-            diff,
-            value,
-            facts,
-            wall_nanos: 0,
-            memoized: false,
-            cached: false,
-        }
-    }
-
-    /// The record of a single-leg cell.
-    fn into_record(self) -> RunRecord {
-        let [record]: [RunRecord; 1] = self.legs.try_into().expect("a single-leg cell");
-        record
-    }
-
     /// The copy stored for a deduplicated cell: same results, but marked
     /// memoized and charged zero wall-clock (no host time was spent).
     /// The `cached` flag carries over — a copy of a cache hit is itself
@@ -400,30 +387,6 @@ impl CellOutcome {
         copy.wall_nanos = 0;
         copy.memoized = true;
         copy
-    }
-
-    /// The on-disk cache payload of a single-leg cell.
-    fn to_entry(&self) -> CellEntry {
-        CellEntry {
-            record: self.legs[0].clone(),
-            trace_hash: self.facts.hash,
-            metrics: self.facts.metrics.as_deref().cloned(),
-        }
-    }
-
-    /// Rebuilds an outcome from a cache entry — the inverse of
-    /// [`CellOutcome::to_entry`].
-    fn from_entry(e: CellEntry) -> CellOutcome {
-        let facts = TraceFacts {
-            hash: e.trace_hash,
-            metrics: e.metrics.map(Box::new),
-            violations: Vec::new(),
-        };
-        let value = e.record.value;
-        CellOutcome {
-            cached: true,
-            ..CellOutcome::new(vec![e.record], value, None, facts)
-        }
     }
 }
 
@@ -453,9 +416,9 @@ fn classify_traces(traces: &[asym_kernel::KernelTrace]) -> RunClass {
 /// incrementally as events are emitted. No
 /// [`KernelTrace`](asym_kernel::KernelTrace) is ever materialized, and
 /// the profile fold runs without its Perfetto timeline (the engine keeps
-/// only the metrics), so the no-check, no-observer sweep path is O(1) in
-/// trace length. Only the profile and diff tools build the timeline,
-/// which is O(events).
+/// only the metrics), so the unchecked sweep path is O(1) in trace
+/// length. Only the profile and diff tools build the timeline, which is
+/// O(events).
 struct CellFold {
     hasher: TraceHasher,
     profile: Option<ProfileFold>,
@@ -531,68 +494,58 @@ pub(crate) fn soften_plan(plan: FaultPlan, level: u32) -> Option<FaultPlan> {
     }
 }
 
-/// What the trace consumers derived from one attempt.
-#[derive(Clone, Default)]
-struct TraceFacts {
-    /// Folded trace hash; absent when the attempt panicked.
-    hash: Option<u64>,
-    /// Merged metrics of every kernel, when wanted and not panicked
-    /// (boxed: outcomes wait in per-cell slots, so their size counts).
-    metrics: Option<Box<ProfileMetrics>>,
-    /// The trace check's findings.
-    violations: Vec<String>,
-}
-
-/// One guarded, trace-captured, panic-contained attempt. Returns the
-/// classification, the workload's result (absent when it panicked),
-/// and what the trace consumers derived.
+/// One guarded, trace-captured, panic-contained attempt, recorded as a
+/// one-attempt [`RunRecord`] (panicked: no value, extras, hash, or
+/// metrics).
 fn attempt_run(
     workload: &dyn Workload,
     setup: &RunSetup,
     guard: RunGuard,
-    observer: Option<&RunObserver>,
     want_metrics: bool,
-    check: Option<&TraceCheck>,
-) -> (RunClass, Option<RunResult>, TraceFacts) {
-    // The streaming fast path: nothing downstream needs the full event
-    // stream, so fold hash/metrics incrementally and never materialize
-    // a trace. Observers and trace checks are handed real traces, so
-    // they keep the buffered path.
-    if check.is_none() && observer.is_none() {
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            run_streamed(want_metrics, || {
-                with_run_guard(guard, || workload.run(setup))
-            })
-        }));
-        return match caught {
-            Err(_) => (RunClass::Panicked, None, TraceFacts::default()),
-            Ok((result, class, hash, metrics)) => {
-                let facts = TraceFacts {
-                    hash: Some(hash),
-                    metrics: metrics.map(Box::new),
-                    violations: Vec::new(),
-                };
-                (class, Some(result), facts)
-            }
+    checks: [Option<&TraceCheck>; 2],
+) -> RunRecord {
+    let mut record = RunRecord {
+        seed: setup.seed,
+        attempts: 1,
+        class: RunClass::Panicked,
+        value: None,
+        extras: Vec::new(),
+        trace_hash: None,
+        metrics: None,
+        violations: Vec::new(),
+    };
+    let run = || with_run_guard(guard, || workload.run(setup));
+    let result = if checks.iter().all(Option::is_none) {
+        // The streaming fast path: nothing downstream needs the full
+        // event stream, so fold hash/metrics incrementally and never
+        // materialize a trace.
+        let Ok((result, class, hash, metrics)) =
+            catch_unwind(AssertUnwindSafe(|| run_streamed(want_metrics, run)))
+        else {
+            return record;
         };
-    }
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        capture_traces(|| with_run_guard(guard, || workload.run(setup)))
-    }));
-    match caught {
-        Err(_) => (RunClass::Panicked, None, TraceFacts::default()),
-        Ok((result, traces)) => {
-            if let Some(obs) = observer {
-                obs(setup, &result, &traces);
-            }
-            let facts = TraceFacts {
-                hash: Some(fold_trace_hashes(&traces)),
-                metrics: want_metrics.then(|| Box::new(metrics_of_traces(&traces))),
-                violations: check.map_or_else(Vec::new, |c| c(&traces)),
-            };
-            (classify_traces(&traces), Some(result), facts)
-        }
-    }
+        record.class = class;
+        record.trace_hash = Some(hash);
+        record.metrics = metrics.map(Arc::new);
+        result
+    } else {
+        // Trace checks are handed real traces.
+        let Ok((result, traces)) = catch_unwind(AssertUnwindSafe(|| capture_traces(run))) else {
+            return record;
+        };
+        record.class = classify_traces(&traces);
+        record.trace_hash = Some(fold_trace_hashes(&traces));
+        record.metrics = want_metrics.then(|| Arc::new(metrics_of_traces(&traces)));
+        record.violations = checks
+            .into_iter()
+            .flatten()
+            .flat_map(|c| c(&traces))
+            .collect();
+        result
+    };
+    record.value = Some(result.value).filter(|_| record.class == RunClass::Completed);
+    record.extras = result.extras.into_iter().collect();
+    record
 }
 
 /// How a failed attempt changes the next one.
@@ -637,7 +590,9 @@ fn escalation(class: RunClass, paired: bool, budget_factor: u32) -> Option<Escal
 /// and environment plans when `disturbed` — through the retry ladder:
 /// attempt, classify, escalate, until the leg completes, the ladder
 /// stops it, or the spec's retries are spent. Differential legs are
-/// paired. Returns the final attempt's record and facts.
+/// paired. Every attempt runs the runner's `check` and the spec's own
+/// check; the final attempt's record comes back carrying the findings
+/// of every attempt.
 fn run_leg(
     spec: &PlanSpec<'_>,
     cell: &Cell,
@@ -645,9 +600,12 @@ fn run_leg(
     disturbed: bool,
     want_metrics: bool,
     check: Option<&TraceCheck>,
-) -> (RunRecord, TraceFacts) {
+) -> RunRecord {
     let options = spec.mode.leg_options();
     let paired = matches!(spec.mode, SpecMode::Differential { .. });
+    let checks = [check, options.check.as_ref()];
+    let want_metrics = want_metrics || options.check.is_some();
+    let mut earlier_findings = Vec::new();
     let mut attempts = 0u32;
     let mut seed_bump = 0u64;
     let mut budget_factor = 1u32;
@@ -682,51 +640,35 @@ fn run_leg(
         if let Some(env) = environment {
             guard = guard.environment(env);
         }
-        let observer = options.observer.as_ref();
-        let (class, result, facts) =
-            attempt_run(spec.workload, &setup, guard, observer, want_metrics, check);
+        let mut record = attempt_run(spec.workload, &setup, guard, want_metrics, checks);
         let next = if attempts > options.retries {
             None
         } else {
-            escalation(class, paired, budget_factor)
+            escalation(record.class, paired, budget_factor)
         };
+        let Some(next) = next else {
+            record.attempts = attempts;
+            earlier_findings.append(&mut record.violations);
+            record.violations = earlier_findings;
+            return record;
+        };
+        let prefixed = record
+            .violations
+            .iter()
+            .map(|v| format!("attempt {attempts}: {v}"));
+        earlier_findings.extend(prefixed);
         match next {
-            None => {
-                let completed = class == RunClass::Completed;
-                let record = RunRecord {
-                    seed: setup.seed,
-                    attempts,
-                    class,
-                    value: result.as_ref().map(|r| r.value).filter(|_| completed),
-                    extras: result.map_or_else(Vec::new, |r| r.extras.into_iter().collect()),
-                };
-                return (record, facts);
-            }
-            Some(Escalation::DoubleBudget) => {
+            Escalation::DoubleBudget => {
                 budget_factor = (budget_factor * 2).min(MAX_BUDGET_FACTOR);
             }
-            Some(Escalation::Soften) => soften += 1,
-            Some(Escalation::Reseed) => seed_bump += RETRY_SEED_STRIDE,
+            Escalation::Soften => soften += 1,
+            Escalation::Reseed => seed_bump += RETRY_SEED_STRIDE,
         }
     }
 }
 
-/// Builds a differential repeat from its four legs, in leg order.
-fn differential_rep(legs: Vec<RunRecord>, diff: Option<DiffAttribution>) -> DifferentialRep {
-    let [stock_clean, stock_faulted, aware_clean, aware_faulted]: [RunRecord; 4] =
-        legs.try_into().expect("a differential cell has four legs");
-    DifferentialRep {
-        seed: stock_clean.seed,
-        stock_clean,
-        stock_faulted,
-        aware_clean,
-        aware_faulted,
-        diff,
-    }
-}
-
-/// Executes one cell: lowers its mode into legs, runs each leg through
-/// [`run_leg`], and folds the legs into the cell's outcome.
+/// Executes one cell: lowers its mode into legs and runs each leg
+/// through [`run_leg`].
 fn exec_cell(
     spec: &PlanSpec<'_>,
     cell: &Cell,
@@ -734,59 +676,42 @@ fn exec_cell(
     check: Option<&TraceCheck>,
 ) -> CellOutcome {
     let start = Instant::now();
-    let mut out = if let SpecMode::Differential { .. } = spec.mode {
+    let (legs, diff) = if let SpecMode::Differential { .. } = spec.mode {
         // Four runs from the cell's single seed: each policy once
         // undisturbed and once under the cell's fault and environment
         // plans, so the absorption metric quantifies how much of the
-        // disturbance the aware policy recovers.
-        let (stock, aware) = (SchedPolicy::os_default(), SchedPolicy::asymmetry_aware());
-        let legs = [
-            ("stock-clean", stock, false),
-            ("stock-faulted", stock, true),
-            ("aware-clean", aware, false),
-            ("aware-faulted", aware, true),
-        ];
-        let mut records = Vec::with_capacity(legs.len());
-        let mut fold = TraceHashFold::new();
-        let mut any_hash = false;
-        let mut merged = TraceFacts {
-            metrics: want_metrics.then(Box::default),
-            ..TraceFacts::default()
-        };
-        let mut disturbed_metrics = Vec::with_capacity(2);
-        for (name, policy, disturbed) in legs {
-            // Metrics are always derived for differential legs: the diff
-            // attribution needs the disturbed legs' metrics, and the
-            // fold is pure — it cannot perturb the run.
-            let (record, facts) = run_leg(spec, cell, policy, disturbed, true, check);
-            if let Some(h) = facts.hash {
-                fold.push(h);
-                any_hash = true;
-            }
-            if let (Some(acc), Some(m)) = (merged.metrics.as_mut(), facts.metrics.as_deref()) {
-                acc.merge(m);
-            }
-            if disturbed {
-                disturbed_metrics.push(facts.metrics);
-            }
-            let findings = facts.violations.into_iter().map(|v| format!("{name}: {v}"));
-            merged.violations.extend(findings);
-            records.push(record);
-        }
-        merged.hash = any_hash.then(|| fold.finish());
-        let diff = match disturbed_metrics.as_slice() {
-            [Some(a), Some(b)] => Some(DiffAttribution::from_metrics(a, b)),
+        // disturbance the aware policy recovers. Metrics are always
+        // derived for differential legs: the diff attribution needs the
+        // disturbed legs' metrics, and the fold is pure — it cannot
+        // perturb the run.
+        let legs: Vec<RunRecord> = DIFFERENTIAL_LEGS
+            .iter()
+            .map(|&(_, aware, disturbed)| {
+                let policy = if aware {
+                    SchedPolicy::asymmetry_aware()
+                } else {
+                    SchedPolicy::os_default()
+                };
+                run_leg(spec, cell, policy, disturbed, true, check)
+            })
+            .collect();
+        // The disturbed legs: stock-faulted and aware-faulted.
+        let diff = match (&legs[1].metrics, &legs[3].metrics) {
+            (Some(stock), Some(aware)) => Some(DiffAttribution::from_metrics(stock, aware)),
             _ => None,
         };
-        let value = differential_rep(records.clone(), diff).absorption(spec.workload.direction());
-        CellOutcome::new(records, value, diff, merged)
+        (legs, diff)
     } else {
-        let (record, facts) = run_leg(spec, cell, cell.setup.policy, true, want_metrics, check);
-        let value = record.value;
-        CellOutcome::new(vec![record], value, None, facts)
+        let leg = run_leg(spec, cell, cell.setup.policy, true, want_metrics, check);
+        (vec![leg], None)
     };
-    out.wall_nanos = start.elapsed().as_nanos() as u64;
-    out
+    CellOutcome {
+        legs,
+        diff,
+        wall_nanos: start.elapsed().as_nanos() as u64,
+        memoized: false,
+        cached: false,
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -821,9 +746,10 @@ impl CellRunner {
     }
 
     /// Attaches a persistent on-disk cell cache: before executing,
-    /// every keyed cell (clean cells and observer-free resilient cells,
-    /// when no trace check is installed) is looked up by its content
-    /// address, and hits are restored without running the simulation.
+    /// every keyed cell (clean cells and resilient cells without a spec
+    /// check, when no runner check is installed) is looked up by its
+    /// content address, and its stored [`RunRecord`] is restored without
+    /// running the simulation.
     /// Misses execute normally and are stored afterwards. Hit, miss,
     /// skip, store, and invalidation counts land in
     /// [`SweepReport::cache`]. Off by default.
@@ -832,21 +758,22 @@ impl CellRunner {
         self
     }
 
-    /// Installs a per-cell trace check: every executed cell's final
-    /// attempt runs its captured kernel traces through `check`, and the
-    /// findings land in [`CellReport::violations`] (and the JSON sink).
-    /// Memoized cells reuse their primary's findings — the traces are
-    /// identical by construction. Off by default.
+    /// Installs a trace check for every cell: each attempt of every leg
+    /// runs its captured kernel traces through `check`, and the findings
+    /// land in [`RunRecord::violations`] (earlier attempts prefixed
+    /// `attempt k: `), hence in [`CellReport::violations`] and the JSON
+    /// sink. Memoized cells reuse their primary's findings — the traces
+    /// are identical by construction. Off by default.
     pub fn with_trace_check(mut self, check: TraceCheck) -> Self {
         self.check = Some(check);
         self
     }
 
-    /// Enables (or disables) per-cell observability metrics: every
-    /// executed cell replays its captured traces through `asym-obs` and
-    /// attaches a merged [`ProfileMetrics`] record to its
-    /// [`CellReport`], which the JSON sink then emits. Off by default —
-    /// the replay costs one extra pass over each trace.
+    /// Enables (or disables) per-cell observability metrics: every leg
+    /// folds its kernels' events into a [`ProfileMetrics`] record as they
+    /// stream by, and each [`CellReport`] carries its cell's merged
+    /// record, which the JSON sink then emits. Off by default — the fold
+    /// costs time on every event.
     pub fn with_metrics(mut self, enabled: bool) -> Self {
         self.metrics = enabled;
         self
@@ -870,7 +797,7 @@ impl CellRunner {
         let (outcomes, cache) = self.run_cells(&plan);
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
-        let report = build_report(&plan, &outcomes, self.jobs, wall_ms, cache);
+        let report = build_report(&plan, &outcomes, self.jobs, wall_ms, cache, self.metrics);
         let results = assemble(plan, outcomes);
         PlanOutcome { results, report }
     }
@@ -918,9 +845,15 @@ impl CellRunner {
                 match rendered {
                     None => st.skips += 1,
                     Some(key) => match cache.load(&key, self.metrics) {
-                        Lookup::Hit(entry) => {
+                        Lookup::Hit(record) => {
                             st.hits += 1;
-                            restored = Some(CellOutcome::from_entry(*entry));
+                            restored = Some(CellOutcome {
+                                legs: vec![*record],
+                                diff: None,
+                                wall_nanos: 0,
+                                memoized: false,
+                                cached: true,
+                            });
                         }
                         Lookup::Stale => {
                             st.invalidations += 1;
@@ -953,7 +886,7 @@ impl CellRunner {
         }
         if let (Some(cache), Some(st)) = (&self.cache, stats.as_mut()) {
             for (i, key) in &stores {
-                if cache.store(key, &outs[*i].to_entry()).is_ok() {
+                if cache.store(key, &outs[*i].legs[0]).is_ok() {
                     st.stores += 1;
                 }
             }
@@ -1003,133 +936,61 @@ impl Default for CellRunner {
     }
 }
 
-/// One assembled experiment result, in the plan's push order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SpecResult {
-    /// A clean experiment.
-    Clean(Experiment),
-    /// A resilient experiment.
-    Resilient(ResilientExperiment),
-    /// A differential experiment.
-    Differential(DifferentialExperiment),
-}
-
-impl SpecResult {
-    /// The clean experiment, panicking if the spec ran another mode.
-    pub fn clean(&self) -> &Experiment {
-        match self {
-            SpecResult::Clean(e) => e,
-            _ => panic!("spec did not run in clean mode"),
-        }
-    }
-
-    /// The resilient experiment, panicking if the spec ran another mode.
-    pub fn resilient(&self) -> &ResilientExperiment {
-        match self {
-            SpecResult::Resilient(e) => e,
-            _ => panic!("spec did not run in resilient mode"),
-        }
-    }
-
-    /// The differential experiment, panicking if the spec ran another
-    /// mode.
-    pub fn differential(&self) -> &DifferentialExperiment {
-        match self {
-            SpecResult::Differential(e) => e,
-            _ => panic!("spec did not run in differential mode"),
-        }
-    }
-}
-
 /// Everything a plan run produced: assembled experiments plus the
 /// structured per-cell report.
 pub struct PlanOutcome {
     /// Per-spec results, in push order.
-    pub results: Vec<SpecResult>,
+    pub results: Vec<Experiment>,
     /// The structured per-cell report (JSON-serializable).
     pub report: SweepReport,
 }
 
-/// Reassembles the flat outcome list into per-spec experiment results.
-/// Each spec's cells are contiguous and configuration-major (see
-/// [`ExperimentPlan::push`]), so the specs consume the list in order.
-fn assemble(plan: ExperimentPlan<'_>, outcomes: Vec<CellOutcome>) -> Vec<SpecResult> {
+/// Reassembles the flat outcome list into per-spec experiments: each
+/// configuration's records, in plan order. Each spec's cells are
+/// contiguous and configuration-major (see [`ExperimentPlan::push`]), so
+/// the specs consume the list in order.
+fn assemble(plan: ExperimentPlan<'_>, outcomes: Vec<CellOutcome>) -> Vec<Experiment> {
     let mut cells = outcomes.into_iter();
     plan.specs
         .iter()
-        .map(|spec| assemble_spec(spec, &mut cells))
-        .collect()
-}
-
-fn assemble_spec(spec: &PlanSpec<'_>, cells: &mut impl Iterator<Item = CellOutcome>) -> SpecResult {
-    let w = spec.workload;
-    let (runs, _) = spec.mode.slots();
-    let per_config = spec
-        .configs
-        .iter()
-        .map(|&config| (config, cells.by_ref().take(runs).collect::<Vec<_>>()));
-    match &spec.mode {
-        SpecMode::Clean { policy, .. } => {
-            let outcomes = per_config
-                .map(|(config, outs)| {
-                    let records: Vec<RunRecord> =
-                        outs.into_iter().map(CellOutcome::into_record).collect();
-                    let values = records.iter().map(|r| match r.value {
-                        Some(v) => v,
-                        None => panic!(
-                            "clean spec {:?} on {config} seed {} did not complete: {}",
-                            spec.label, r.seed, r.class
-                        ),
-                    });
-                    let samples = Samples::new(values.collect());
-                    let mut extras_mean = BTreeMap::new();
-                    for r in &records {
-                        for (k, v) in &r.extras {
-                            *extras_mean.entry(k.clone()).or_insert(0.0) += v / runs as f64;
+        .map(|spec| {
+            let (runs, _) = spec.mode.slots();
+            let differential = matches!(spec.mode, SpecMode::Differential { .. });
+            let outcomes = spec
+                .configs
+                .iter()
+                .map(|&config| {
+                    let mut o = ConfigOutcome {
+                        config,
+                        records: Vec::with_capacity(runs),
+                        diffs: Vec::new(),
+                    };
+                    for cell in cells.by_ref().take(runs) {
+                        o.records.extend(cell.legs);
+                        if differential {
+                            o.diffs.push(cell.diff);
                         }
                     }
-                    ConfigOutcome {
-                        config,
-                        samples,
-                        extras_mean,
+                    let failed = o.records.iter().find(|r| r.value.is_none());
+                    if let (SpecMode::Clean { .. }, Some(r)) = (&spec.mode, failed) {
+                        panic!(
+                            "clean spec {:?} on {config} seed {} did not complete: {}",
+                            spec.label, r.seed, r.class
+                        );
                     }
+                    o
                 })
                 .collect();
-            SpecResult::Clean(Experiment {
+            let w = spec.workload;
+            Experiment {
                 workload: w.name().to_string(),
                 unit: w.unit().to_string(),
                 direction: w.direction(),
-                policy: *policy,
+                policy: spec.mode.policy(),
                 outcomes,
-            })
-        }
-        SpecMode::Resilient { policy, .. } => SpecResult::Resilient(ResilientExperiment {
-            workload: w.name().to_string(),
-            unit: w.unit().to_string(),
-            direction: w.direction(),
-            policy: *policy,
-            outcomes: per_config
-                .map(|(config, outs)| ResilientConfigOutcome {
-                    config,
-                    records: outs.into_iter().map(CellOutcome::into_record).collect(),
-                })
-                .collect(),
-        }),
-        SpecMode::Differential { .. } => SpecResult::Differential(DifferentialExperiment {
-            workload: w.name().to_string(),
-            unit: w.unit().to_string(),
-            direction: w.direction(),
-            outcomes: per_config
-                .map(|(config, outs)| DifferentialConfigOutcome {
-                    config,
-                    reps: outs
-                        .into_iter()
-                        .map(|o| differential_rep(o.legs, o.diff))
-                        .collect(),
-                })
-                .collect(),
-        }),
-    }
+            }
+        })
+        .collect()
 }
 
 // ----------------------------------------------------------------------
@@ -1165,8 +1026,9 @@ pub struct CellReport {
     /// Host wall-clock the cell consumed, in milliseconds (zero for
     /// memoized cells — no host time was spent).
     pub wall_ms: f64,
-    /// Folded kernel-trace hash of the cell's final attempt(s); absent
-    /// when every run panicked.
+    /// Folded kernel-trace hash of the cell's final attempt(s) (of its
+    /// legs' record hashes, for differential cells); absent when every
+    /// run panicked.
     pub trace_hash: Option<u64>,
     /// `true` when the cell's outcome was copied from an earlier cell
     /// with the same key instead of executing.
@@ -1175,14 +1037,17 @@ pub struct CellReport {
     /// on-disk cell cache (directly, or memoized from a restored
     /// primary) instead of executing.
     pub cached: bool,
-    /// Findings of the runner's trace check on the cell's final
-    /// attempt(s), in the check's (deterministic) order. Empty when no
-    /// check was installed or the cell was clean.
+    /// Trace-check findings (runner check and spec check) of every
+    /// attempt, in the checks' (deterministic) order — the record's
+    /// [`RunRecord::violations`], or a differential cell's four legs'
+    /// findings prefixed with the leg name. Empty when no check was
+    /// installed or the cell was clean.
     pub violations: Vec<String>,
-    /// Merged observability metrics of the cell's final attempt(s),
-    /// present when the runner ran with
+    /// Merged observability metrics of the cell's final attempt(s) (the
+    /// record's own, shared; merged over the legs for differential
+    /// cells), present when the runner ran with
     /// [`CellRunner::with_metrics`]`(true)` and the cell did not panic.
-    pub metrics: Option<ProfileMetrics>,
+    pub metrics: Option<Arc<ProfileMetrics>>,
     /// Differential cells only: the stock-faulted − aware-faulted diff
     /// attribution (where the stock kernel lost time under the
     /// identical disturbance plan). `None` for non-differential cells.
@@ -1379,12 +1244,14 @@ fn json_f64(v: f64) -> String {
     }
 }
 
+/// Derives every cell's [`CellReport`] from its records.
 fn build_report(
     plan: &ExperimentPlan<'_>,
     outcomes: &[CellOutcome],
     jobs: usize,
     wall_ms: f64,
     cache: Option<CacheStats>,
+    want_metrics: bool,
 ) -> SweepReport {
     let cells = plan
         .cells
@@ -1392,6 +1259,41 @@ fn build_report(
         .zip(outcomes)
         .map(|(cell, out)| {
             let spec = &plan.specs[cell.spec];
+            let legs = &out.legs;
+            let (value, trace_hash, metrics, violations) = match legs.as_slice() {
+                [record] => (
+                    record.value,
+                    record.trace_hash,
+                    record.metrics.clone(),
+                    record.violations.clone(),
+                ),
+                _ => {
+                    let rep = DifferentialRep::new(legs, out.diff.as_ref());
+                    let (mut fold, mut any_hash) = (TraceHashFold::new(), false);
+                    for h in legs.iter().filter_map(|r| r.trace_hash) {
+                        fold.push(h);
+                        any_hash = true;
+                    }
+                    let mut merged = ProfileMetrics::new();
+                    for m in legs.iter().filter_map(|r| r.metrics.as_deref()) {
+                        merged.merge(m);
+                    }
+                    let violations = DIFFERENTIAL_LEGS
+                        .iter()
+                        .zip(legs)
+                        .flat_map(|(&(name, ..), r)| {
+                            r.violations.iter().map(move |v| format!("{name}: {v}"))
+                        })
+                        .collect();
+                    let value = rep.absorption(spec.workload.direction());
+                    (
+                        value,
+                        any_hash.then(|| fold.finish()),
+                        Some(Arc::new(merged)),
+                        violations,
+                    )
+                }
+            };
             CellReport {
                 spec: spec.label.clone(),
                 workload: spec.workload.name().to_string(),
@@ -1400,20 +1302,15 @@ fn build_report(
                 policy: cell.setup.policy.to_string(),
                 seed: cell.setup.seed,
                 rep: cell.rep,
-                class: out
-                    .legs
-                    .iter()
-                    .map(|r| r.class)
-                    .max()
-                    .expect("a cell has legs"),
-                attempts: out.legs.iter().map(|r| r.attempts).sum(),
-                value: out.value,
+                class: legs.iter().map(|r| r.class).max().expect("a cell has legs"),
+                attempts: legs.iter().map(|r| r.attempts).sum(),
+                value,
                 wall_ms: out.wall_nanos as f64 / 1e6,
-                trace_hash: out.facts.hash,
+                trace_hash,
                 memoized: out.memoized,
                 cached: out.cached,
-                violations: out.facts.violations.clone(),
-                metrics: out.facts.metrics.as_deref().cloned(),
+                violations,
+                metrics: metrics.filter(|_| want_metrics),
                 diff: out.diff,
             }
         })
@@ -1431,6 +1328,7 @@ fn build_report(
 mod tests {
     use super::*;
     use crate::metrics::Direction;
+    use crate::workload::RunResult;
 
     struct Proportional;
     impl Workload for Proportional {
@@ -1544,10 +1442,7 @@ mod tests {
         );
         // The assembled experiments are indistinguishable from running
         // both specs in full.
-        assert_eq!(
-            out.results[0].clean().outcomes,
-            out.results[1].clean().outcomes
-        );
+        assert_eq!(out.results[0].outcomes, out.results[1].outcomes);
         let json = out.report.to_json();
         assert!(json.contains("\"memoized_cells\": 2"));
         assert!(json.contains("\"memoized\": true"));
@@ -1696,7 +1591,7 @@ mod tests {
                     c.value,
                     c.trace_hash,
                     c.metrics
-                        .as_ref()
+                        .as_deref()
                         .map(ProfileMetrics::to_json)
                         .unwrap_or_default(),
                 )
@@ -1707,7 +1602,7 @@ mod tests {
     #[test]
     fn streamed_equals_buffered_byte_exactly() {
         let w = KernelBursts;
-        // Default runner: streaming capture (no check, no observer).
+        // Default runner: streaming capture (no check).
         let streamed = CellRunner::new(1).with_metrics(true).run(kernel_plan(&w));
         // A no-op check forces the buffered path through the identical
         // plan: every hash, class, value, and metrics record must match.
@@ -1924,10 +1819,7 @@ mod tests {
         assert_eq!(memoized, vec![false, false, true, true]);
         let facts = cell_facts(&out.report);
         assert_eq!(facts[..2], facts[2..]);
-        assert_eq!(
-            out.results[0].resilient().outcomes,
-            out.results[1].resilient().outcomes
-        );
+        assert_eq!(out.results[0].outcomes, out.results[1].outcomes);
     }
 
     #[test]
@@ -2069,6 +1961,79 @@ mod tests {
         ];
         let distinct: std::collections::HashSet<&String> = keys.iter().collect();
         assert_eq!(distinct.len(), keys.len(), "{keys:#?}");
+    }
+
+    /// A check with one finding per kernel trace, naming its length.
+    fn per_trace_check() -> TraceCheck {
+        Arc::new(|traces| {
+            traces
+                .iter()
+                .map(|t| format!("events={}", t.num_records()))
+                .collect()
+        })
+    }
+
+    #[test]
+    fn differential_cell_report_folds_its_four_legs() {
+        use asym_sim::{CoreId, FaultKind};
+        let w = KernelBursts;
+        let options = ResilientOptions::new(1).fault_planner(|_setup: &RunSetup| {
+            let mut plan = FaultPlan::new();
+            plan.inject(
+                SimTime::ZERO + SimDuration::from_micros(20),
+                FaultKind::CoreOffline { core: CoreId(0) },
+            );
+            plan
+        });
+        let mut plan = ExperimentPlan::new("diff");
+        plan.push(
+            "d",
+            &w,
+            &[AsymConfig::new(1, 3, 8)],
+            SpecMode::Differential { options },
+        );
+        let out = CellRunner::new(1)
+            .with_metrics(true)
+            .with_trace_check(per_trace_check())
+            .run(plan);
+        let cell = &out.report.cells[0];
+        assert_eq!(cell.trace_hash, Some(PINNED_DIFF_HASH));
+        let m = cell.metrics.as_ref().expect("metrics attached");
+        assert_eq!(m.kernels, 4);
+        assert_eq!(
+            (m.busy_ns, m.idle_ns, m.offline_ns, m.migrations),
+            PINNED_DIFF_METRICS
+        );
+        assert_eq!(cell.violations, PINNED_DIFF_VIOLATIONS);
+    }
+
+    const PINNED_DIFF_HASH: u64 = 0x16f8_0162_454d_1b7d;
+    const PINNED_DIFF_METRICS: (u64, u64, u64, u64) = (9_878_798, 5_794_959, 3_025_715, 4);
+    const PINNED_DIFF_VIOLATIONS: [&str; 4] = [
+        "stock-clean: events=9",
+        "stock-faulted: events=14",
+        "aware-clean: events=17",
+        "aware-faulted: events=14",
+    ];
+
+    #[test]
+    fn identical_specs_with_their_own_check_are_never_memoized_or_cached() {
+        let w = KernelBursts;
+        let config = AsymConfig::new(1, 3, 8);
+        let cache = temp_cache("own-check");
+        let mut plan = ExperimentPlan::new("own-check");
+        let checked = || ResilientOptions {
+            check: Some(noop_check()),
+            ..guarded()
+        };
+        plan.push("first", &w, &[config], resilient(checked()));
+        plan.push("second", &w, &[config], resilient(checked()));
+        let out = CellRunner::new(2).with_cache(cache.clone()).run(plan);
+        assert_eq!(out.report.memoized_cells(), 0);
+        let stats = out.report.cache.as_ref().expect("stats");
+        assert_eq!(stats.skips, 4);
+        assert_eq!(stats.hits + stats.misses + stats.stores, 0);
+        let _ = std::fs::remove_dir_all(cache.root());
     }
 
     #[test]

@@ -2,299 +2,23 @@
 //! the paper's methodology prescribes — run the same workload several
 //! times per configuration, then examine run-to-run variance (stability)
 //! and the trend against compute power (scalability).
+//!
+//! Every mode — clean, resilient, differential — ends in the same
+//! result shape: an [`Experiment`] of per-configuration
+//! [`ConfigOutcome`]s, each holding one [`RunRecord`] per executed leg.
 
 use crate::config::AsymConfig;
-use crate::engine::{CellRunner, ExperimentPlan, SpecMode, SpecResult};
+use crate::engine::{CellRunner, ExperimentPlan, SpecMode, TraceCheck};
 use crate::metrics::{Direction, Samples, Scalability, Stability};
-use crate::workload::{RunResult, RunSetup, Workload};
-use asym_kernel::{KernelTrace, SchedPolicy};
-use asym_obs::DiffAttribution;
+use crate::workload::{RunSetup, Workload};
+use asym_kernel::SchedPolicy;
+use asym_obs::{DiffAttribution, ProfileMetrics};
 use asym_sim::{EnvironmentPlan, FaultPlan, SimDuration};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// A per-run hook receiving the setup, the result, and the trace of
-/// every kernel the run created (see
-/// [`ResilientOptions::observe_traces`]).
-pub type RunObserver = Arc<dyn Fn(&RunSetup, &RunResult, &[KernelTrace]) + Send + Sync>;
-
-/// Per-configuration outcome of an experiment: all runs plus their
-/// statistics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConfigOutcome {
-    /// The configuration.
-    pub config: AsymConfig,
-    /// Primary metric of each run, in seed order.
-    pub samples: Samples,
-    /// Mean of each named secondary metric across runs.
-    pub extras_mean: BTreeMap<String, f64>,
-}
-
-impl ConfigOutcome {
-    /// The stability verdict for this configuration.
-    pub fn stability(&self) -> Stability {
-        Stability::from_cov(self.samples.cov())
-    }
-}
-
-/// The full outcome of an experiment over several configurations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Experiment {
-    /// Workload name.
-    pub workload: String,
-    /// Metric unit.
-    pub unit: String,
-    /// Metric direction.
-    pub direction: Direction,
-    /// Policy the runs used.
-    pub policy: SchedPolicy,
-    /// Per-configuration outcomes, in the order configurations were given.
-    pub outcomes: Vec<ConfigOutcome>,
-}
-
-impl Experiment {
-    /// The outcome for `config`, if it was part of the experiment.
-    pub fn outcome(&self, config: AsymConfig) -> Option<&ConfigOutcome> {
-        self.outcomes.iter().find(|o| o.config == config)
-    }
-
-    /// The worst (largest) CoV across asymmetric configurations — the
-    /// paper's instability indicator.
-    pub fn worst_asymmetric_cov(&self) -> f64 {
-        self.outcomes
-            .iter()
-            .filter(|o| !o.config.is_symmetric())
-            .map(|o| o.samples.cov())
-            .fold(0.0, f64::max)
-    }
-
-    /// The worst CoV across symmetric configurations (the baseline noise
-    /// level; near zero in the paper).
-    pub fn worst_symmetric_cov(&self) -> f64 {
-        self.outcomes
-            .iter()
-            .filter(|o| o.config.is_symmetric())
-            .map(|o| o.samples.cov())
-            .fold(0.0, f64::max)
-    }
-
-    /// Overall stability verdict: the worst configuration's verdict.
-    pub fn stability(&self) -> Stability {
-        Stability::from_cov(self.worst_asymmetric_cov().max(self.worst_symmetric_cov()))
-    }
-
-    /// Scalability across the experiment's configurations (mean
-    /// performance vs compute power).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the experiment covers fewer than two configurations.
-    pub fn scalability(&self) -> Scalability {
-        let points: Vec<(f64, f64)> = self
-            .outcomes
-            .iter()
-            .map(|o| {
-                (
-                    o.config.compute_power(),
-                    self.direction.performance(o.samples.mean()),
-                )
-            })
-            .collect();
-        Scalability::from_points(&points)
-    }
-
-    /// Scalability computed from each configuration's *best* run — the
-    /// achievable performance envelope. Instability lowers means; whether
-    /// the envelope tracks compute power is the separate scalability
-    /// question, exactly as the paper treats the two metrics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the experiment covers fewer than two configurations.
-    pub fn scalability_best(&self) -> Scalability {
-        let points: Vec<(f64, f64)> = self
-            .outcomes
-            .iter()
-            .map(|o| {
-                let best = match self.direction {
-                    Direction::HigherIsBetter => o.samples.max(),
-                    Direction::LowerIsBetter => o.samples.min(),
-                };
-                (o.config.compute_power(), self.direction.performance(best))
-            })
-            .collect();
-        Scalability::from_points(&points)
-    }
-
-    /// Serializes the experiment as CSV: one row per (configuration,
-    /// run), with the compute power and run index — ready for plotting.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # use asym_core::{run_experiment, AsymConfig, Direction, ExperimentOptions,
-    /// #                 RunResult, RunSetup, Workload};
-    /// # use asym_kernel::SchedPolicy;
-    /// # struct W;
-    /// # impl Workload for W {
-    /// #     fn name(&self) -> &str { "w" }
-    /// #     fn unit(&self) -> &str { "ops" }
-    /// #     fn direction(&self) -> Direction { Direction::HigherIsBetter }
-    /// #     fn run(&self, s: &RunSetup) -> RunResult {
-    /// #         RunResult::new(s.config.compute_power())
-    /// #     }
-    /// # }
-    /// let exp = run_experiment(
-    ///     &W,
-    ///     &[AsymConfig::new(2, 2, 8)],
-    ///     SchedPolicy::os_default(),
-    ///     &ExperimentOptions::new(2),
-    /// );
-    /// let csv = exp.to_csv();
-    /// assert!(csv.starts_with("workload,unit,policy,config,compute_power,run,value"));
-    /// assert_eq!(csv.lines().count(), 3); // header + 2 runs
-    /// ```
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("workload,unit,policy,config,compute_power,run,value\n");
-        for o in &self.outcomes {
-            for (i, v) in o.samples.values().iter().enumerate() {
-                out.push_str(&format!(
-                    "{},{},{},{},{},{},{}\n",
-                    self.workload,
-                    self.unit,
-                    self.policy,
-                    o.config,
-                    o.config.compute_power(),
-                    i,
-                    v
-                ));
-            }
-        }
-        out
-    }
-
-    /// Speedup of each configuration's mean performance over `baseline`'s
-    /// (the paper's Figure 10 normalization, baseline `0f-4s/8`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `baseline` was not part of the experiment.
-    pub fn speedups_over(&self, baseline: AsymConfig) -> Vec<(AsymConfig, f64)> {
-        let base = self
-            .outcome(baseline)
-            .unwrap_or_else(|| panic!("baseline {baseline} not in experiment"));
-        let base_perf = self.direction.performance(base.samples.mean());
-        self.outcomes
-            .iter()
-            .map(|o| {
-                (
-                    o.config,
-                    self.direction.performance(o.samples.mean()) / base_perf,
-                )
-            })
-            .collect()
-    }
-}
-
-impl fmt::Display for Experiment {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{} [{}] under {} ({} configs)",
-            self.workload,
-            self.unit,
-            self.policy,
-            self.outcomes.len()
-        )?;
-        for o in &self.outcomes {
-            writeln!(
-                f,
-                "  {:>8}: mean {:.3} cov {:.2}% [{}]",
-                o.config.to_string(),
-                o.samples.mean(),
-                o.samples.cov() * 100.0,
-                o.stability()
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// Options for [`run_experiment`].
-#[derive(Debug, Clone)]
-pub struct ExperimentOptions {
-    /// Number of repeated runs per configuration.
-    pub runs: usize,
-    /// Base seed; run *i* of configuration *j* uses
-    /// `base_seed + j * 1000 + i`.
-    pub base_seed: u64,
-}
-
-impl ExperimentOptions {
-    /// `runs` repetitions, base seed 0.
-    pub fn new(runs: usize) -> Self {
-        ExperimentOptions { runs, base_seed: 0 }
-    }
-
-    /// Sets the base seed.
-    pub fn base_seed(mut self, seed: u64) -> Self {
-        self.base_seed = seed;
-        self
-    }
-}
-
-/// Runs a one-spec plan on a [`default_jobs`](crate::default_jobs)-sized
-/// [`CellRunner`] pool and returns the spec's assembled result. Results
-/// are deterministic whatever the pool size, because each cell's seed
-/// is fixed by its position in the plan.
-fn run_one(workload: &dyn Workload, configs: &[AsymConfig], mode: SpecMode) -> SpecResult {
-    let mut plan = ExperimentPlan::new(workload.name());
-    plan.push(workload.name(), workload, configs, mode);
-    let mut results = CellRunner::default().run(plan).results;
-    results.pop().expect("a one-spec plan assembles one result")
-}
-
-/// Runs `workload` `options.runs` times on every configuration in
-/// `configs` under `policy` and collects the statistics.
-///
-/// This is a thin wrapper over the cell engine: the sweep expands into
-/// an [`ExperimentPlan`] and executes on a [`CellRunner`] host thread
-/// pool.
-///
-/// # Panics
-///
-/// Panics if `configs` is empty, `options.runs` is zero, or a run does
-/// not complete (see [`CellRunner::run`]).
-pub fn run_experiment(
-    workload: &dyn Workload,
-    configs: &[AsymConfig],
-    policy: SchedPolicy,
-    options: &ExperimentOptions,
-) -> Experiment {
-    let mode = SpecMode::Clean {
-        policy,
-        options: options.clone(),
-    };
-    match run_one(workload, configs, mode) {
-        SpecResult::Clean(exp) => exp,
-        _ => unreachable!("clean plan must assemble a clean experiment"),
-    }
-}
-
-// ----------------------------------------------------------------------
-// Resilient harness: classified runs, guards, faults, bounded retries
-// ----------------------------------------------------------------------
-
-/// Derives a per-run [`FaultPlan`] from the run's setup (see
-/// [`ResilientOptions::fault_planner`]).
-pub type FaultPlanner = Arc<dyn Fn(&RunSetup) -> FaultPlan + Send + Sync>;
-
-/// Derives a per-run [`EnvironmentPlan`] from the run's setup (see
-/// [`ResilientOptions::environment_planner`]).
-pub type EnvPlanner = Arc<dyn Fn(&RunSetup) -> EnvironmentPlan + Send + Sync>;
-
-/// How one run under [`run_experiment_resilient`] ended.
+/// How one run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RunClass {
     /// The run finished normally and produced a usable metric.
@@ -324,13 +48,14 @@ impl fmt::Display for RunClass {
     }
 }
 
-/// One classified run (after any retries).
+/// One classified leg (after any retries): the unit every result is
+/// built from, and what the on-disk cell cache stores.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
     /// The seed of the attempt this record describes (retries reseed, so
     /// this may differ from the slot's base seed).
     pub seed: u64,
-    /// Total attempts spent on this slot (1 = no retries needed).
+    /// Total attempts spent on this leg (1 = no retries needed).
     pub attempts: u32,
     /// How the final attempt ended.
     pub class: RunClass,
@@ -340,6 +65,16 @@ pub struct RunRecord {
     /// order (empty when it panicked). A compact list rather than a map:
     /// records of a large sweep stay resident until it is assembled.
     pub extras: Vec<(String, f64)>,
+    /// Folded stable hash of every kernel trace the final attempt
+    /// produced; absent when it panicked.
+    pub trace_hash: Option<u64>,
+    /// Merged profile metrics of the final attempt's kernels, when the
+    /// leg folded them and the attempt did not panic. Shared, not
+    /// copied, with the cell's [`CellReport`](crate::CellReport).
+    pub metrics: Option<Arc<ProfileMetrics>>,
+    /// Trace-check findings of every attempt, in attempt order; those of
+    /// earlier (retried) attempts are prefixed `attempt k: `.
+    pub violations: Vec<String>,
 }
 
 impl RunRecord {
@@ -349,20 +84,122 @@ impl RunRecord {
     }
 }
 
-/// Per-configuration outcome of a resilient experiment: every run slot
-/// classified, completed or not.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilientConfigOutcome {
-    /// The configuration.
-    pub config: AsymConfig,
-    /// One record per run slot, in seed order.
-    pub records: Vec<RunRecord>,
+/// One repeat of a differential cell, viewed over its four records: four
+/// guarded runs from the *same* seed — each policy once clean and once
+/// under the *identical* [`FaultPlan`] — so any stock/aware difference
+/// is attributable to the policy alone.
+#[derive(Debug, Clone, Copy)]
+pub struct DifferentialRep<'a> {
+    /// The seed all four runs used.
+    pub seed: u64,
+    /// Stock kernel, no faults.
+    pub stock_clean: &'a RunRecord,
+    /// Stock kernel under the shared fault plan.
+    pub stock_faulted: &'a RunRecord,
+    /// Asymmetry-aware kernel, no faults.
+    pub aware_clean: &'a RunRecord,
+    /// Asymmetry-aware kernel under the shared fault plan.
+    pub aware_faulted: &'a RunRecord,
+    /// Per-cell diff attribution between the two *disturbed* legs
+    /// (stock-faulted − aware-faulted): where the stock kernel lost
+    /// time relative to the aware kernel under the identical plan.
+    /// Absent when either leg panicked before producing metrics.
+    pub diff: Option<&'a DiffAttribution>,
 }
 
-impl ResilientConfigOutcome {
-    /// Number of records in `class`.
-    pub fn count(&self, class: RunClass) -> usize {
-        self.records.iter().filter(|r| r.class == class).count()
+impl<'a> DifferentialRep<'a> {
+    /// The view over one repeat's four records, in leg order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `legs` holds exactly four records.
+    pub(crate) fn new(legs: &'a [RunRecord], diff: Option<&'a DiffAttribution>) -> Self {
+        let [stock_clean, stock_faulted, aware_clean, aware_faulted] = legs else {
+            panic!("a differential repeat has four legs, got {}", legs.len());
+        };
+        DifferentialRep {
+            seed: stock_clean.seed,
+            stock_clean,
+            stock_faulted,
+            aware_clean,
+            aware_faulted,
+            diff,
+        }
+    }
+
+    /// All four records, in leg order.
+    pub fn records(&self) -> [&'a RunRecord; 4] {
+        [
+            self.stock_clean,
+            self.stock_faulted,
+            self.aware_clean,
+            self.aware_faulted,
+        ]
+    }
+
+    fn slowdown(clean: &RunRecord, faulted: &RunRecord, direction: Direction) -> Option<f64> {
+        let c = direction.performance(clean.value?);
+        let f = direction.performance(faulted.value?);
+        (f > 0.0).then(|| c / f)
+    }
+
+    /// Fault-induced slowdown under the stock kernel: clean performance
+    /// over faulted performance (> 1 when faults hurt).
+    pub fn stock_slowdown(&self, direction: Direction) -> Option<f64> {
+        Self::slowdown(self.stock_clean, self.stock_faulted, direction)
+    }
+
+    /// Fault-induced slowdown under the asymmetry-aware kernel.
+    pub fn aware_slowdown(&self, direction: Direction) -> Option<f64> {
+        Self::slowdown(self.aware_clean, self.aware_faulted, direction)
+    }
+
+    /// The absorption metric: the fraction of the stock kernel's
+    /// fault-induced slowdown that the asymmetry-aware policy recovers,
+    /// `(S_stock − S_aware) / (S_stock − 1)`. 1 means the aware kernel
+    /// fully absorbed the faults, 0 means it helped not at all, negative
+    /// means it made faults worse. `None` when any needed run failed or
+    /// the stock kernel was not measurably slowed (no slowdown to
+    /// absorb).
+    pub fn absorption(&self, direction: Direction) -> Option<f64> {
+        let s_stock = self.stock_slowdown(direction)?;
+        let s_aware = self.aware_slowdown(direction)?;
+        (s_stock > 1.0 + 1e-9).then(|| (s_stock - s_aware) / (s_stock - 1.0))
+    }
+}
+
+/// Per-configuration outcome of an experiment: every leg's record, plus
+/// the statistics derived from them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ConfigOutcome {
+    /// The configuration.
+    pub config: AsymConfig,
+    /// One record per leg, in plan order: one per run slot, or four per
+    /// differential repeat (stock-clean, stock-faulted, aware-clean,
+    /// aware-faulted).
+    pub records: Vec<RunRecord>,
+    /// Differential experiments: one attribution per repeat (see
+    /// [`DifferentialRep::diff`]). Empty in the other modes.
+    pub diffs: Vec<Option<DiffAttribution>>,
+}
+
+impl ConfigOutcome {
+    /// Every record's primary metric as [`Samples`], in record order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a record did not complete; use
+    /// [`completed_samples`](ConfigOutcome::completed_samples) for
+    /// partial results. Clean outcomes always complete.
+    pub fn samples(&self) -> Samples {
+        let values = self.records.iter().map(|r| match r.value {
+            Some(v) => v,
+            None => panic!(
+                "{} seed {} did not complete: {}",
+                self.config, r.seed, r.class
+            ),
+        });
+        Samples::new(values.collect())
     }
 
     /// The completed runs' metrics as [`Samples`], or `None` when no run
@@ -371,91 +208,379 @@ impl ResilientConfigOutcome {
     /// fabricated statistic.
     pub fn completed_samples(&self) -> Option<Samples> {
         let values: Vec<f64> = self.records.iter().filter_map(|r| r.value).collect();
-        if values.is_empty() {
-            None
-        } else {
-            Some(Samples::new(values))
-        }
+        (!values.is_empty()).then(|| Samples::new(values))
     }
 
-    /// Total attempts across all slots (retries included).
+    /// Mean of each named secondary metric across records: each value
+    /// divided by the record count, summed in record order (a record
+    /// that omits a name contributes zero to it).
+    pub fn extras_mean(&self) -> BTreeMap<String, f64> {
+        let runs = self.records.len() as f64;
+        let mut means = BTreeMap::new();
+        for (k, v) in self.records.iter().flat_map(|r| &r.extras) {
+            *means.entry(k.clone()).or_insert(0.0) += v / runs;
+        }
+        means
+    }
+
+    /// Number of records in `class`.
+    pub fn count(&self, class: RunClass) -> usize {
+        self.records.iter().filter(|r| r.class == class).count()
+    }
+
+    /// Total attempts across all records (retries included).
     pub fn total_attempts(&self) -> u32 {
         self.records.iter().map(|r| r.attempts).sum()
     }
+
+    /// The stability verdict for this configuration.
+    pub fn stability(&self) -> Stability {
+        Stability::from_cov(self.samples().cov())
+    }
+
+    /// The differential repeats, in seed order (none outside
+    /// differential mode).
+    pub fn reps(&self) -> impl Iterator<Item = DifferentialRep<'_>> {
+        self.records
+            .chunks_exact(4)
+            .zip(&self.diffs)
+            .map(|(legs, diff)| DifferentialRep::new(legs, diff.as_ref()))
+    }
+
+    /// Mean absorption across the repeats where it is defined.
+    pub fn mean_absorption(&self, direction: Direction) -> Option<f64> {
+        let vals: Vec<f64> = self
+            .reps()
+            .filter_map(|r| r.absorption(direction))
+            .collect();
+        (!vals.is_empty()).then(|| vals.iter().sum::<f64>() / vals.len() as f64)
+    }
+
+    /// Stability delta under faults: the run-to-run CoV of the stock
+    /// kernel's faulted metric minus the aware kernel's, across the
+    /// repeat seeds. Positive means the aware kernel is *steadier* under
+    /// the same fault schedules. `None` with fewer than two completed
+    /// repeats on either side.
+    pub fn stability_delta(&self) -> Option<f64> {
+        let cov = |pick: fn(DifferentialRep<'_>) -> &RunRecord| {
+            let vals: Vec<f64> = self.reps().filter_map(|r| pick(r).value).collect();
+            (vals.len() >= 2).then(|| Samples::new(vals).cov())
+        };
+        Some(cov(|r| r.stock_faulted)? - cov(|r| r.aware_faulted)?)
+    }
 }
 
-/// The full outcome of a resilient experiment: like [`Experiment`], but
-/// every run is classified and partial results are first-class.
+/// The full outcome of an experiment over several configurations, in
+/// any mode.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ResilientExperiment {
+pub struct Experiment {
     /// Workload name.
     pub workload: String,
     /// Metric unit.
     pub unit: String,
     /// Metric direction.
     pub direction: Direction,
-    /// Policy the runs used.
+    /// Policy the runs used (the canonical stock policy for
+    /// differential experiments, which run both).
     pub policy: SchedPolicy,
     /// Per-configuration outcomes, in the order configurations were given.
-    pub outcomes: Vec<ResilientConfigOutcome>,
+    pub outcomes: Vec<ConfigOutcome>,
 }
 
-impl ResilientExperiment {
+impl Experiment {
     /// The outcome for `config`, if it was part of the experiment.
-    pub fn outcome(&self, config: AsymConfig) -> Option<&ResilientConfigOutcome> {
+    pub fn outcome(&self, config: AsymConfig) -> Option<&ConfigOutcome> {
         self.outcomes.iter().find(|o| o.config == config)
     }
 
-    /// Number of runs (across all configurations) in `class`.
+    /// Number of records (across all configurations) in `class`.
     pub fn count(&self, class: RunClass) -> usize {
         self.outcomes.iter().map(|o| o.count(class)).sum()
     }
 
-    /// Fraction of run slots that completed, in `[0, 1]`.
-    pub fn completion_rate(&self) -> f64 {
-        let total: usize = self.outcomes.iter().map(|o| o.records.len()).sum();
-        if total == 0 {
-            return 1.0;
+    /// Total number of records (4 per repeat in differential mode).
+    pub fn total_runs(&self) -> usize {
+        self.outcomes.iter().map(|o| o.records.len()).sum()
+    }
+
+    /// Trace-check findings across every record.
+    pub fn total_violations(&self) -> usize {
+        let records = self.outcomes.iter().flat_map(|o| &o.records);
+        records.map(|r| r.violations.len()).sum()
+    }
+
+    /// The worst (largest) CoV across asymmetric configurations — the
+    /// paper's instability indicator.
+    pub fn worst_asymmetric_cov(&self) -> f64 {
+        self.outcomes
+            .iter()
+            .filter(|o| !o.config.is_symmetric())
+            .map(|o| o.samples().cov())
+            .fold(0.0, f64::max)
+    }
+
+    /// The worst CoV across symmetric configurations (the baseline noise
+    /// level; near zero in the paper).
+    pub fn worst_symmetric_cov(&self) -> f64 {
+        self.outcomes
+            .iter()
+            .filter(|o| o.config.is_symmetric())
+            .map(|o| o.samples().cov())
+            .fold(0.0, f64::max)
+    }
+
+    /// Overall stability verdict: the worst configuration's verdict.
+    pub fn stability(&self) -> Stability {
+        Stability::from_cov(self.worst_asymmetric_cov().max(self.worst_symmetric_cov()))
+    }
+
+    /// The worst CoV of completed runs over the configurations with at
+    /// least two of them; `None` when no configuration has two.
+    pub fn worst_completed_cov(&self) -> Option<f64> {
+        self.outcomes
+            .iter()
+            .filter_map(ConfigOutcome::completed_samples)
+            .filter(|s| s.len() >= 2)
+            .map(|s| s.cov())
+            .reduce(f64::max)
+    }
+
+    /// Scalability of the completed runs' mean performance against
+    /// compute power, over the configurations that completed any run;
+    /// `None` when fewer than two did.
+    pub fn completed_scalability(&self) -> Option<Scalability> {
+        let points: Vec<(f64, f64)> = self
+            .outcomes
+            .iter()
+            .filter_map(|o| {
+                let s = o.completed_samples()?;
+                Some((
+                    o.config.compute_power(),
+                    self.direction.performance(s.mean()),
+                ))
+            })
+            .collect();
+        (points.len() >= 2).then(|| Scalability::from_points(&points))
+    }
+
+    /// Scalability across the experiment's configurations (mean
+    /// performance vs compute power).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the experiment covers fewer than two configurations.
+    pub fn scalability(&self) -> Scalability {
+        let points: Vec<(f64, f64)> = self
+            .outcomes
+            .iter()
+            .map(|o| {
+                (
+                    o.config.compute_power(),
+                    self.direction.performance(o.samples().mean()),
+                )
+            })
+            .collect();
+        Scalability::from_points(&points)
+    }
+
+    /// Scalability computed from each configuration's *best* run — the
+    /// achievable performance envelope. Instability lowers means; whether
+    /// the envelope tracks compute power is the separate scalability
+    /// question, exactly as the paper treats the two metrics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the experiment covers fewer than two configurations.
+    pub fn scalability_best(&self) -> Scalability {
+        let points: Vec<(f64, f64)> = self
+            .outcomes
+            .iter()
+            .map(|o| {
+                let s = o.samples();
+                let best = match self.direction {
+                    Direction::HigherIsBetter => s.max(),
+                    Direction::LowerIsBetter => s.min(),
+                };
+                (o.config.compute_power(), self.direction.performance(best))
+            })
+            .collect();
+        Scalability::from_points(&points)
+    }
+
+    /// Serializes the experiment as CSV: one row per (configuration,
+    /// run), with the compute power and run index — ready for plotting.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// # use asym_core::{run_experiment, AsymConfig, Direction, ExperimentOptions,
+    /// #                 RunResult, RunSetup, SpecMode, Workload};
+    /// # use asym_kernel::SchedPolicy;
+    /// # struct W;
+    /// # impl Workload for W {
+    /// #     fn name(&self) -> &str { "w" }
+    /// #     fn unit(&self) -> &str { "ops" }
+    /// #     fn direction(&self) -> Direction { Direction::HigherIsBetter }
+    /// #     fn run(&self, s: &RunSetup) -> RunResult {
+    /// #         RunResult::new(s.config.compute_power())
+    /// #     }
+    /// # }
+    /// let exp = run_experiment(
+    ///     &W,
+    ///     &[AsymConfig::new(2, 2, 8)],
+    ///     SpecMode::Clean {
+    ///         policy: SchedPolicy::os_default(),
+    ///         options: ExperimentOptions::new(2),
+    ///     },
+    /// );
+    /// let csv = exp.to_csv();
+    /// assert!(csv.starts_with("workload,unit,policy,config,compute_power,run,value"));
+    /// assert_eq!(csv.lines().count(), 3); // header + 2 runs
+    /// ```
+    pub fn to_csv(&self) -> String {
+        let mut out = String::from("workload,unit,policy,config,compute_power,run,value\n");
+        for o in &self.outcomes {
+            for (i, v) in o.samples().values().iter().enumerate() {
+                out.push_str(&format!(
+                    "{},{},{},{},{},{},{}\n",
+                    self.workload,
+                    self.unit,
+                    self.policy,
+                    o.config,
+                    o.config.compute_power(),
+                    i,
+                    v
+                ));
+            }
         }
-        self.count(RunClass::Completed) as f64 / total as f64
+        out
+    }
+
+    /// Speedup of each configuration's mean performance over `baseline`'s
+    /// (the paper's Figure 10 normalization, baseline `0f-4s/8`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `baseline` was not part of the experiment.
+    pub fn speedups_over(&self, baseline: AsymConfig) -> Vec<(AsymConfig, f64)> {
+        let base = self
+            .outcome(baseline)
+            .unwrap_or_else(|| panic!("baseline {baseline} not in experiment"));
+        let base_perf = self.direction.performance(base.samples().mean());
+        self.outcomes
+            .iter()
+            .map(|o| {
+                (
+                    o.config,
+                    self.direction.performance(o.samples().mean()) / base_perf,
+                )
+            })
+            .collect()
     }
 }
 
-impl fmt::Display for ResilientExperiment {
+impl fmt::Display for Experiment {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "{} [{}] under {} ({} configs, {:.0}% runs completed)",
+            "{} [{}] under {} ({} configs)",
             self.workload,
             self.unit,
             self.policy,
-            self.outcomes.len(),
-            self.completion_rate() * 100.0
+            self.outcomes.len()
         )?;
         for o in &self.outcomes {
+            let config = o.config.to_string();
             match o.completed_samples() {
                 Some(s) => writeln!(
                     f,
-                    "  {:>8}: {}/{} completed, mean {:.3} cov {:.2}%",
-                    o.config.to_string(),
-                    s.len(),
-                    o.records.len(),
+                    "  {config:>8}: mean {:.3} cov {:.2}% [{}]",
                     s.mean(),
-                    s.cov() * 100.0
+                    s.cov() * 100.0,
+                    Stability::from_cov(s.cov())
                 )?,
-                None => writeln!(
-                    f,
-                    "  {:>8}: 0/{} completed",
-                    o.config.to_string(),
-                    o.records.len()
-                )?,
+                None => writeln!(f, "  {config:>8}: no completed runs")?,
             }
         }
         Ok(())
     }
 }
 
-/// Options for [`run_experiment_resilient`].
+/// Options for a clean [`SpecMode`]: runs and seeds, nothing else.
+#[derive(Debug, Clone)]
+pub struct ExperimentOptions {
+    /// Number of repeated runs per configuration.
+    pub runs: usize,
+    /// Base seed; run *i* of configuration *j* uses
+    /// `base_seed + j * 1000 + i`.
+    pub base_seed: u64,
+}
+
+impl ExperimentOptions {
+    /// `runs` repetitions, base seed 0.
+    pub fn new(runs: usize) -> Self {
+        ExperimentOptions { runs, base_seed: 0 }
+    }
+
+    /// Sets the base seed.
+    pub fn base_seed(mut self, seed: u64) -> Self {
+        self.base_seed = seed;
+        self
+    }
+}
+
+/// Runs `workload` on every configuration in `configs` in `mode` — a
+/// one-spec [`ExperimentPlan`] on a
+/// [`default_jobs`](crate::default_jobs)-sized [`CellRunner`] pool — and
+/// returns the assembled experiment. Results are deterministic whatever
+/// the pool size, because each cell's seed is fixed by its position in
+/// the plan.
+///
+/// * [`SpecMode::Clean`] runs each slot once, unguarded; a run that does
+///   not complete panics (see [`CellRunner::run`]).
+/// * [`SpecMode::Resilient`] gives every kernel the workload creates the
+///   options' watchdog, sim-time budget, fault plan, and environment
+///   plan (via [`asym_kernel::RunGuard`]), contains panics, classifies
+///   every slot as a [`RunClass`], and retries failed slots up to
+///   `options.retries` times with adaptive escalation — time-limited
+///   runs keep their seed and double the budget, stalled runs keep their
+///   seed and soften the fault plan (kills stripped first, then hotplug,
+///   then everything), deadlocked and panicked runs reseed.
+///   Configurations where every run failed report no completed samples
+///   instead of poisoning the sweep.
+/// * [`SpecMode::Differential`] runs every (configuration, seed) four
+///   times — under [`SchedPolicy::os_default`] and
+///   [`SchedPolicy::asymmetry_aware`], each undisturbed and under the
+///   plans derived **once** from a canonical stock-policy setup — so the
+///   two kernels face the identical disturbance and the absorption and
+///   stability metrics fall out of the pairing (see
+///   [`ConfigOutcome::reps`]). Paired legs never reseed and never soften
+///   the plan; the only escalation is budget doubling on
+///   [`RunClass::TimeLimit`].
+///
+/// # Panics
+///
+/// Panics if `configs` is empty or the mode's `runs` is zero.
+pub fn run_experiment(
+    workload: &dyn Workload,
+    configs: &[AsymConfig],
+    mode: SpecMode,
+) -> Experiment {
+    let mut plan = ExperimentPlan::new(workload.name());
+    plan.push(workload.name(), workload, configs, mode);
+    let mut results = CellRunner::default().run(plan).results;
+    results.pop().expect("a one-spec plan assembles one result")
+}
+
+/// Derives a per-run [`FaultPlan`] from the run's setup (see
+/// [`ResilientOptions::fault_planner`]).
+pub type FaultPlanner = Arc<dyn Fn(&RunSetup) -> FaultPlan + Send + Sync>;
+
+/// Derives a per-run [`EnvironmentPlan`] from the run's setup (see
+/// [`ResilientOptions::environment_planner`]).
+pub type EnvPlanner = Arc<dyn Fn(&RunSetup) -> EnvironmentPlan + Send + Sync>;
+
+/// Options for the resilient and differential [`SpecMode`]s.
 #[derive(Clone)]
 pub struct ResilientOptions {
     /// Number of run slots per configuration.
@@ -465,7 +590,7 @@ pub struct ResilientOptions {
     pub base_seed: u64,
     /// How many times a failed slot is retried before its failure is
     /// recorded. Retries escalate adaptively by failure class (see
-    /// [`run_experiment_resilient`]). Completed runs are never retried.
+    /// [`run_experiment`]). Completed runs are never retried.
     pub retries: u32,
     /// Per-run cap on simulated time, applied to every kernel the run
     /// creates (via [`RunGuard`](asym_kernel::RunGuard)); a run cut short by it is classified
@@ -483,15 +608,20 @@ pub struct ResilientOptions {
     /// Unlike fault plans, environment plans are never softened by
     /// retries — only reseeding re-derives them.
     pub env_planner: Option<EnvPlanner>,
-    /// Optional per-run observer (see
-    /// [`ResilientOptions::observe_traces`]); it also sees the traces of
-    /// failed (non-panicked) attempts.
-    pub observer: Option<RunObserver>,
+    /// The spec's own trace check, run (on the worker thread) over the
+    /// captured kernel traces of *every* attempt of every leg — retried
+    /// attempts included — so each attempt takes the buffered capture
+    /// path. Its findings land in [`RunRecord::violations`], those of
+    /// earlier attempts prefixed `attempt k: `. Legs of such a spec
+    /// also fold [`RunRecord::metrics`] (their traces are materialized
+    /// anyway), and its cells are never deduplicated or cached: the
+    /// check must see every requested run.
+    pub check: Option<TraceCheck>,
 }
 
 impl ResilientOptions {
     /// `runs` slots, base seed 0, one retry, no budget, no watchdog, no
-    /// faults, no observer.
+    /// plans, no check.
     pub const fn new(runs: usize) -> Self {
         ResilientOptions {
             runs,
@@ -501,7 +631,7 @@ impl ResilientOptions {
             watchdog: None,
             planner: None,
             env_planner: None,
-            observer: None,
+            check: None,
         }
     }
 
@@ -551,22 +681,6 @@ impl ResilientOptions {
         self.env_planner = Some(Arc::new(planner));
         self
     }
-
-    /// Installs a per-run observer. Each attempt then executes inside
-    /// [`capture_traces`](asym_kernel::capture_traces), and `observer` is
-    /// invoked (on the worker thread that executed the attempt) with the
-    /// setup, the result, and the captured trace of every kernel the
-    /// attempt created. This is how `asym-analysis` checks every
-    /// workload run without workloads knowing about it. Cells with an
-    /// observer are never deduplicated or cached: the observer must see
-    /// every requested run.
-    pub fn observe_traces(
-        mut self,
-        observer: impl Fn(&RunSetup, &RunResult, &[KernelTrace]) + Send + Sync + 'static,
-    ) -> Self {
-        self.observer = Some(Arc::new(observer));
-        self
-    }
 }
 
 impl fmt::Debug for ResilientOptions {
@@ -579,257 +693,8 @@ impl fmt::Debug for ResilientOptions {
             .field("watchdog", &self.watchdog)
             .field("planner", &self.planner.as_ref().map(|_| "..."))
             .field("env_planner", &self.env_planner.as_ref().map(|_| "..."))
-            .field("observer", &self.observer.as_ref().map(|_| "..."))
+            .field("check", &self.check.as_ref().map(|_| "..."))
             .finish()
-    }
-}
-
-/// Runs `workload` on every configuration like [`run_experiment`], but
-/// built to survive hostile runs: every kernel the workload creates gets
-/// the options' watchdog, sim-time budget, and fault plan (via
-/// [`asym_kernel::RunGuard`]); panics are caught and contained to their
-/// run; every slot is classified as a [`RunClass`]; failed slots are
-/// retried up to `options.retries` times with adaptive escalation —
-/// time-limited runs keep their seed and double the budget, stalled runs
-/// keep their seed and soften the fault plan (kills stripped first, then
-/// hotplug, then everything), deadlocked and panicked runs reseed — and
-/// configurations where every run failed simply report no samples
-/// instead of poisoning the sweep.
-///
-/// Like [`run_experiment`], this is a thin wrapper over the cell
-/// engine; the retry ladder lives in the engine's per-cell execution.
-///
-/// # Panics
-///
-/// Panics if `configs` is empty or `options.runs` is zero.
-pub fn run_experiment_resilient(
-    workload: &dyn Workload,
-    configs: &[AsymConfig],
-    policy: SchedPolicy,
-    options: &ResilientOptions,
-) -> ResilientExperiment {
-    let mode = SpecMode::Resilient {
-        policy,
-        options: options.clone(),
-    };
-    match run_one(workload, configs, mode) {
-        SpecResult::Resilient(exp) => exp,
-        _ => unreachable!("resilient plan must assemble a resilient experiment"),
-    }
-}
-
-// ----------------------------------------------------------------------
-// Differential harness: stock vs aware under identical faults
-// ----------------------------------------------------------------------
-
-/// One repeat of a differential cell: four guarded runs from the *same*
-/// seed — each policy once clean and once under the *identical*
-/// [`FaultPlan`] — so any stock/aware difference is attributable to the
-/// policy alone.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DifferentialRep {
-    /// The seed all four runs used.
-    pub seed: u64,
-    /// Stock kernel, no faults.
-    pub stock_clean: RunRecord,
-    /// Stock kernel under the shared fault plan.
-    pub stock_faulted: RunRecord,
-    /// Asymmetry-aware kernel, no faults.
-    pub aware_clean: RunRecord,
-    /// Asymmetry-aware kernel under the shared fault plan.
-    pub aware_faulted: RunRecord,
-    /// Per-cell diff attribution between the two *disturbed* legs
-    /// (stock-faulted − aware-faulted): where the stock kernel lost
-    /// time relative to the aware kernel under the identical plan.
-    /// Absent when either leg panicked before producing metrics.
-    pub diff: Option<DiffAttribution>,
-}
-
-impl DifferentialRep {
-    /// All four records, for classification counting.
-    pub fn records(&self) -> [&RunRecord; 4] {
-        [
-            &self.stock_clean,
-            &self.stock_faulted,
-            &self.aware_clean,
-            &self.aware_faulted,
-        ]
-    }
-
-    fn slowdown(clean: &RunRecord, faulted: &RunRecord, direction: Direction) -> Option<f64> {
-        let c = direction.performance(clean.value?);
-        let f = direction.performance(faulted.value?);
-        (f > 0.0).then(|| c / f)
-    }
-
-    /// Fault-induced slowdown under the stock kernel: clean performance
-    /// over faulted performance (> 1 when faults hurt).
-    pub fn stock_slowdown(&self, direction: Direction) -> Option<f64> {
-        Self::slowdown(&self.stock_clean, &self.stock_faulted, direction)
-    }
-
-    /// Fault-induced slowdown under the asymmetry-aware kernel.
-    pub fn aware_slowdown(&self, direction: Direction) -> Option<f64> {
-        Self::slowdown(&self.aware_clean, &self.aware_faulted, direction)
-    }
-
-    /// The absorption metric: the fraction of the stock kernel's
-    /// fault-induced slowdown that the asymmetry-aware policy recovers,
-    /// `(S_stock − S_aware) / (S_stock − 1)`. 1 means the aware kernel
-    /// fully absorbed the faults, 0 means it helped not at all, negative
-    /// means it made faults worse. `None` when any needed run failed or
-    /// the stock kernel was not measurably slowed (no slowdown to
-    /// absorb).
-    pub fn absorption(&self, direction: Direction) -> Option<f64> {
-        let s_stock = self.stock_slowdown(direction)?;
-        let s_aware = self.aware_slowdown(direction)?;
-        (s_stock > 1.0 + 1e-9).then(|| (s_stock - s_aware) / (s_stock - 1.0))
-    }
-}
-
-/// Per-configuration outcome of a differential experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DifferentialConfigOutcome {
-    /// The configuration.
-    pub config: AsymConfig,
-    /// One entry per repeat seed.
-    pub reps: Vec<DifferentialRep>,
-}
-
-impl DifferentialConfigOutcome {
-    /// Number of runs (out of `4 × reps`) in `class`.
-    pub fn count(&self, class: RunClass) -> usize {
-        self.reps
-            .iter()
-            .flat_map(|r| r.records())
-            .filter(|r| r.class == class)
-            .count()
-    }
-
-    /// Mean absorption across the repeats where it is defined.
-    pub fn mean_absorption(&self, direction: Direction) -> Option<f64> {
-        let vals: Vec<f64> = self
-            .reps
-            .iter()
-            .filter_map(|r| r.absorption(direction))
-            .collect();
-        (!vals.is_empty()).then(|| vals.iter().sum::<f64>() / vals.len() as f64)
-    }
-
-    fn faulted_cov(&self, pick: impl Fn(&DifferentialRep) -> &RunRecord) -> Option<f64> {
-        let vals: Vec<f64> = self.reps.iter().filter_map(|r| pick(r).value).collect();
-        (vals.len() >= 2).then(|| Samples::new(vals).cov())
-    }
-
-    /// Run-to-run CoV of the stock kernel's faulted metric across repeats.
-    pub fn stock_faulted_cov(&self) -> Option<f64> {
-        self.faulted_cov(|r| &r.stock_faulted)
-    }
-
-    /// Run-to-run CoV of the aware kernel's faulted metric across repeats.
-    pub fn aware_faulted_cov(&self) -> Option<f64> {
-        self.faulted_cov(|r| &r.aware_faulted)
-    }
-
-    /// Stability delta under faults: stock CoV minus aware CoV across the
-    /// repeat seeds. Positive means the aware kernel is *steadier* under
-    /// the same fault schedules. `None` with fewer than two completed
-    /// repeats on either side.
-    pub fn stability_delta(&self) -> Option<f64> {
-        Some(self.stock_faulted_cov()? - self.aware_faulted_cov()?)
-    }
-}
-
-/// The full outcome of [`run_experiment_differential`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct DifferentialExperiment {
-    /// Workload name.
-    pub workload: String,
-    /// Metric unit.
-    pub unit: String,
-    /// Metric direction.
-    pub direction: Direction,
-    /// Per-configuration outcomes, in the order configurations were given.
-    pub outcomes: Vec<DifferentialConfigOutcome>,
-}
-
-impl DifferentialExperiment {
-    /// The outcome for `config`, if it was part of the experiment.
-    pub fn outcome(&self, config: AsymConfig) -> Option<&DifferentialConfigOutcome> {
-        self.outcomes.iter().find(|o| o.config == config)
-    }
-
-    /// Number of runs (across all configurations) in `class`.
-    pub fn count(&self, class: RunClass) -> usize {
-        self.outcomes.iter().map(|o| o.count(class)).sum()
-    }
-
-    /// Total number of runs executed (4 per repeat per configuration).
-    pub fn total_runs(&self) -> usize {
-        self.outcomes.iter().map(|o| o.reps.len() * 4).sum()
-    }
-}
-
-impl fmt::Display for DifferentialExperiment {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{} [{}] stock-vs-aware differential ({} configs, {}/{} runs completed)",
-            self.workload,
-            self.unit,
-            self.outcomes.len(),
-            self.count(RunClass::Completed),
-            self.total_runs(),
-        )?;
-        for o in &self.outcomes {
-            match o.mean_absorption(self.direction) {
-                Some(a) => writeln!(
-                    f,
-                    "  {:>8}: absorption {:+.2} stability-delta {}",
-                    o.config.to_string(),
-                    a,
-                    o.stability_delta()
-                        .map_or("n/a".to_string(), |d| format!("{d:+.4}")),
-                )?,
-                None => writeln!(f, "  {:>8}: absorption n/a", o.config.to_string())?,
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Runs the stock-vs-aware differential sweep: for every configuration
-/// and repeat seed, the workload executes four times — under
-/// [`SchedPolicy::os_default`] and [`SchedPolicy::asymmetry_aware`],
-/// each with no faults and under one *shared* [`FaultPlan`] — and the
-/// per-cell absorption and stability metrics fall out of the pairing.
-///
-/// The fault plan is derived **once** per (configuration, seed) from
-/// `options.planner` using a canonical stock-policy setup, then reused
-/// bit-for-bit for both policies, so the two kernels face the identical
-/// fault schedule. `options.runs` is the number of repeat seeds per
-/// configuration.
-///
-/// Retries (up to `options.retries`) never reseed — that would break the
-/// same-seed pairing — and never soften the plan — that would break the
-/// identical-plan pairing. The only escalation is budget doubling on
-/// [`RunClass::TimeLimit`]; any other failure is recorded as-is and the
-/// affected metrics report `None`.
-///
-/// # Panics
-///
-/// Panics if `configs` is empty or `options.runs` is zero.
-pub fn run_experiment_differential(
-    workload: &dyn Workload,
-    configs: &[AsymConfig],
-    options: &ResilientOptions,
-) -> DifferentialExperiment {
-    let mode = SpecMode::Differential {
-        options: options.clone(),
-    };
-    match run_one(workload, configs, mode) {
-        SpecResult::Differential(exp) => exp,
-        _ => unreachable!("differential plan must assemble a differential experiment"),
     }
 }
 
@@ -838,6 +703,36 @@ mod tests {
     use super::*;
     use crate::engine::RETRY_SEED_STRIDE;
     use crate::metrics::Direction;
+    use crate::workload::RunResult;
+
+    fn run_clean(
+        w: &dyn Workload,
+        configs: &[AsymConfig],
+        policy: SchedPolicy,
+        options: &ExperimentOptions,
+    ) -> Experiment {
+        let options = options.clone();
+        run_experiment(w, configs, SpecMode::Clean { policy, options })
+    }
+
+    fn run_resilient(
+        w: &dyn Workload,
+        configs: &[AsymConfig],
+        policy: SchedPolicy,
+        options: &ResilientOptions,
+    ) -> Experiment {
+        let options = options.clone();
+        run_experiment(w, configs, SpecMode::Resilient { policy, options })
+    }
+
+    fn run_differential(
+        w: &dyn Workload,
+        configs: &[AsymConfig],
+        options: &ResilientOptions,
+    ) -> Experiment {
+        let options = options.clone();
+        run_experiment(w, configs, SpecMode::Differential { options })
+    }
 
     /// Performance proportional to power, with seed-dependent noise on
     /// asymmetric configs only.
@@ -866,14 +761,14 @@ mod tests {
     #[test]
     fn experiment_shape() {
         let configs = AsymConfig::standard_nine();
-        let exp = run_experiment(
+        let exp = run_clean(
             &Synthetic,
             &configs,
             SchedPolicy::os_default(),
             &ExperimentOptions::new(4),
         );
         assert_eq!(exp.outcomes.len(), 9);
-        assert!(exp.outcomes.iter().all(|o| o.samples.len() == 4));
+        assert!(exp.outcomes.iter().all(|o| o.samples().len() == 4));
         // Symmetric configs are noise-free, asymmetric ones vary.
         assert!(exp.worst_symmetric_cov() < 1e-12);
         assert!(exp.worst_asymmetric_cov() > 0.01);
@@ -882,7 +777,7 @@ mod tests {
     #[test]
     fn speedups_normalize_to_baseline() {
         let configs = AsymConfig::standard_nine();
-        let exp = run_experiment(
+        let exp = run_clean(
             &Synthetic,
             &configs,
             SchedPolicy::os_default(),
@@ -902,7 +797,7 @@ mod tests {
     #[test]
     fn scalability_of_proportional_workload() {
         let configs = AsymConfig::standard_nine();
-        let exp = run_experiment(
+        let exp = run_clean(
             &Synthetic,
             &configs,
             SchedPolicy::os_default(),
@@ -995,7 +890,7 @@ mod tests {
             bad_below: u64::MAX,
             mode: "panic",
         };
-        let exp = run_experiment_resilient(
+        let exp = run_resilient(
             &w,
             &[AsymConfig::new(2, 2, 8)],
             SchedPolicy::os_default(),
@@ -1003,7 +898,7 @@ mod tests {
         );
         assert_eq!(exp.count(RunClass::Panicked), 2);
         assert!(exp.outcomes[0].completed_samples().is_none());
-        assert_eq!(exp.completion_rate(), 0.0);
+        assert_eq!(exp.count(RunClass::Completed), 0);
     }
 
     #[test]
@@ -1016,7 +911,7 @@ mod tests {
                 bad_below: u64::MAX,
                 mode,
             };
-            let exp = run_experiment_resilient(
+            let exp = run_resilient(
                 &w,
                 &[AsymConfig::new(2, 2, 8)],
                 SchedPolicy::os_default(),
@@ -1034,7 +929,7 @@ mod tests {
             bad_below: 2,
             mode: "panic",
         };
-        let exp = run_experiment_resilient(
+        let exp = run_resilient(
             &w,
             &[AsymConfig::new(2, 2, 8)],
             SchedPolicy::os_default(),
@@ -1049,6 +944,84 @@ mod tests {
     }
 
     #[test]
+    fn retried_leg_keeps_the_check_findings_of_every_attempt() {
+        // Seed 0 deadlocks; the reseeded retry completes. A check with
+        // one finding per kernel trace must report both attempts.
+        let w = Hostile {
+            bad_below: 1,
+            mode: "deadlock",
+        };
+        let mut plan = crate::engine::ExperimentPlan::new("retried");
+        plan.push(
+            "hostile",
+            &w,
+            &[AsymConfig::new(2, 2, 8)],
+            crate::engine::SpecMode::Resilient {
+                policy: SchedPolicy::os_default(),
+                options: resilient_opts().retries(1),
+            },
+        );
+        let check: crate::engine::TraceCheck = Arc::new(|traces| {
+            traces
+                .iter()
+                .map(|t| format!("events={}", t.num_records()))
+                .collect()
+        });
+        let out = crate::engine::CellRunner::new(1)
+            .with_trace_check(check)
+            .run(plan);
+        let cell = &out.report.cells[0];
+        assert_eq!(cell.class, RunClass::Completed);
+        assert_eq!(cell.attempts, 2);
+        assert_eq!(cell.violations.len(), 2, "{:?}", cell.violations);
+        assert!(cell.violations[0].starts_with("attempt 1: events="));
+        assert!(cell.violations[1].starts_with("events="));
+        let record = &out.results[0].outcomes[0].records[0];
+        assert_eq!(record.attempts, 2);
+        assert_eq!(record.violations, ["attempt 1: events=3", "events=3"]);
+    }
+
+    /// Reports an `odd` extra on odd seeds only, and a `third` extra on
+    /// every seed.
+    struct OddExtras;
+    impl Workload for OddExtras {
+        fn name(&self) -> &str {
+            "odd-extras"
+        }
+        fn unit(&self) -> &str {
+            "ops"
+        }
+        fn direction(&self) -> Direction {
+            Direction::HigherIsBetter
+        }
+        fn run(&self, setup: &RunSetup) -> RunResult {
+            let r = RunResult::new(1.0).with_extra("third", (setup.seed + 1) as f64 / 10.0);
+            if setup.seed % 2 == 1 {
+                r.with_extra("odd", setup.seed as f64 * 0.1)
+            } else {
+                r
+            }
+        }
+    }
+
+    #[test]
+    fn extras_mean_sums_each_value_over_runs_in_record_order() {
+        let exp = run_clean(
+            &OddExtras,
+            &[AsymConfig::new(2, 2, 8)],
+            SchedPolicy::os_default(),
+            &ExperimentOptions::new(3),
+        );
+        let means = exp.outcomes[0].extras_mean();
+        let n = 3.0;
+        // Seed 1 is the only odd seed: the absent runs count as zero.
+        assert_eq!(means["odd"].to_bits(), (0.1f64 / n).to_bits());
+        let third = 0.1 / n + 0.2 / n + 0.3 / n;
+        assert_eq!(means["third"].to_bits(), third.to_bits());
+        assert_eq!(means.len(), 2);
+    }
+
+    #[test]
     fn budget_truncation_is_time_limit_but_windows_are_not() {
         // The stalling workload's kernel runs forever without a
         // watchdog; a tight budget cuts it off and the run must be
@@ -1060,7 +1033,7 @@ mod tests {
         let opts = ResilientOptions::new(1)
             .sim_time_budget(SimDuration::from_millis(2))
             .retries(0);
-        let exp = run_experiment_resilient(
+        let exp = run_resilient(
             &w,
             &[AsymConfig::new(2, 2, 8)],
             SchedPolicy::os_default(),
@@ -1091,7 +1064,7 @@ mod tests {
                 RunResult::new(1.0)
             }
         }
-        let exp = run_experiment_resilient(
+        let exp = run_resilient(
             &Windowed,
             &[AsymConfig::new(2, 2, 8)],
             SchedPolicy::os_default(),
@@ -1121,8 +1094,8 @@ mod tests {
             mode: "panic",
         };
         let configs = [AsymConfig::new(1, 3, 8)];
-        let a = run_experiment_resilient(&w, &configs, SchedPolicy::asymmetry_aware(), &opts());
-        let b = run_experiment_resilient(&w, &configs, SchedPolicy::asymmetry_aware(), &opts());
+        let a = run_resilient(&w, &configs, SchedPolicy::asymmetry_aware(), &opts());
+        let b = run_resilient(&w, &configs, SchedPolicy::asymmetry_aware(), &opts());
         assert_eq!(a, b, "resilient runs must be deterministic");
         assert_eq!(a.count(RunClass::Completed), 2);
         // Faults perturb the runs: the two seeds should not finish at
@@ -1175,7 +1148,7 @@ mod tests {
         // off as TimeLimit, the retry doubles the budget to 4 ms and
         // completes — on the SAME seed, because the workload was never
         // at fault.
-        let exp = run_experiment_resilient(
+        let exp = run_resilient(
             &SlowButSteady,
             &[AsymConfig::new(1, 0, 8)],
             SchedPolicy::os_default(),
@@ -1194,7 +1167,7 @@ mod tests {
     fn time_limit_at_the_cap_keeps_retrying_at_8x_until_retries_are_spent() {
         // 3 ms of work against a 0.25 ms budget: even 8x (2 ms) is too
         // short, so every retry stays at the cap on the same seed.
-        let exp = run_experiment_resilient(
+        let exp = run_resilient(
             &SlowButSteady,
             &[AsymConfig::new(1, 0, 8)],
             SchedPolicy::os_default(),
@@ -1218,14 +1191,14 @@ mod tests {
             (2000, 2, RunClass::Completed),
             (250, 4, RunClass::TimeLimit),
         ] {
-            let exp = run_experiment_differential(
+            let exp = run_differential(
                 &SlowButSteady,
                 &[AsymConfig::new(1, 0, 8)],
                 &ResilientOptions::new(1)
                     .sim_time_budget(SimDuration::from_micros(budget_us))
                     .retries(10),
             );
-            let rep = &exp.outcomes[0].reps[0];
+            let rep = exp.outcomes[0].reps().next().expect("one repeat");
             for r in rep.records() {
                 assert_eq!(r.class, class, "budget {budget_us}us");
                 assert_eq!(r.attempts, attempts, "budget {budget_us}us");
@@ -1244,7 +1217,7 @@ mod tests {
                 bad_below: u64::MAX,
                 mode,
             };
-            let exp = run_experiment_differential(
+            let exp = run_differential(
                 &w,
                 &[AsymConfig::new(2, 2, 8)],
                 &ResilientOptions::new(1)
@@ -1252,7 +1225,7 @@ mod tests {
                     .sim_time_budget(SimDuration::from_millis(500))
                     .retries(1),
             );
-            let rep = &exp.outcomes[0].reps[0];
+            let rep = exp.outcomes[0].reps().next().expect("one repeat");
             for r in rep.records() {
                 assert_eq!(r.class, class, "mode {mode}");
                 assert_eq!(r.attempts, 1, "mode {mode}: no reseed, no softening");
@@ -1358,7 +1331,7 @@ mod tests {
             );
             plan
         };
-        let exp = run_experiment_resilient(
+        let exp = run_resilient(
             &NeedsProducer,
             &[AsymConfig::new(2, 0, 8)],
             SchedPolicy::os_default(),
@@ -1431,14 +1404,14 @@ mod tests {
                 .fault_planner(planner)
         };
         let configs = [AsymConfig::new(2, 0, 8)];
-        let exp = run_experiment_differential(&PolicySensitive, &configs, &opts());
+        let exp = run_differential(&PolicySensitive, &configs, &opts());
 
         // 1 config × 3 repeats × 4 runs, all completed.
         assert_eq!(exp.total_runs(), 12);
         assert_eq!(exp.count(RunClass::Completed), 12);
         let o = &exp.outcomes[0];
-        assert_eq!(o.reps.len(), 3);
-        for rep in &o.reps {
+        assert_eq!(o.reps().count(), 3);
+        for rep in o.reps() {
             // All four runs of a repeat share one seed — the pairing
             // the absorption metric depends on.
             for r in rep.records() {
@@ -1454,24 +1427,26 @@ mod tests {
         assert!(o.stability_delta().unwrap().abs() < 1e-12);
 
         // Deterministic.
-        assert_eq!(
-            exp,
-            run_experiment_differential(&PolicySensitive, &configs, &opts())
-        );
+        assert_eq!(exp, run_differential(&PolicySensitive, &configs, &opts()));
     }
 
     #[test]
     fn differential_reports_none_when_stock_is_unaffected() {
         // No planner ⇒ faulted runs equal clean runs ⇒ S_stock = 1 and
         // there is no slowdown to absorb.
-        let exp = run_experiment_differential(
+        let exp = run_differential(
             &PolicySensitive,
             &[AsymConfig::new(2, 0, 8)],
             &ResilientOptions::new(2),
         );
         assert_eq!(exp.count(RunClass::Completed), 8);
         assert!(exp.outcomes[0].mean_absorption(exp.direction).is_none());
-        assert!(exp.outcomes[0].reps[0].absorption(exp.direction).is_none());
+        assert!(exp.outcomes[0]
+            .reps()
+            .next()
+            .expect("one repeat")
+            .absorption(exp.direction)
+            .is_none());
     }
 
     // ------------------------------------------------------------------
@@ -1537,10 +1512,8 @@ mod tests {
                 .environment_planner(harsh_thermal)
         };
         let configs = [AsymConfig::new(1, 0, 8)];
-        let a =
-            run_experiment_resilient(&EnvSensitive, &configs, SchedPolicy::os_default(), &opts());
-        let b =
-            run_experiment_resilient(&EnvSensitive, &configs, SchedPolicy::os_default(), &opts());
+        let a = run_resilient(&EnvSensitive, &configs, SchedPolicy::os_default(), &opts());
+        let b = run_resilient(&EnvSensitive, &configs, SchedPolicy::os_default(), &opts());
         assert_eq!(a, b, "environment runs must be deterministic");
         assert_eq!(a.count(RunClass::Completed), 2);
         // The throttle reached the inner kernel: 20 ms of work took far
@@ -1558,7 +1531,7 @@ mod tests {
         // duty, stretching the run ~8x, so the first attempts are cut
         // off as TimeLimit; the harness must double the budget on the
         // SAME seed until the run fits (~145 ms needs the 8x ladder).
-        let exp = run_experiment_resilient(
+        let exp = run_resilient(
             &EnvSensitive,
             &[AsymConfig::new(1, 0, 8)],
             SchedPolicy::os_default(),
@@ -1582,7 +1555,7 @@ mod tests {
         // throttle stretch and absorption is defined (the synthetic
         // workload is policy-blind, so the aware kernel absorbs none of
         // it — absorption ~0).
-        let exp = run_experiment_differential(
+        let exp = run_differential(
             &EnvSensitive,
             &[AsymConfig::new(1, 0, 8)],
             &ResilientOptions::new(1)
@@ -1590,7 +1563,7 @@ mod tests {
                 .environment_planner(harsh_thermal),
         );
         assert_eq!(exp.count(RunClass::Completed), 4);
-        let rep = &exp.outcomes[0].reps[0];
+        let rep = exp.outcomes[0].reps().next().expect("one repeat");
         let slow = rep.stock_slowdown(exp.direction).expect("stock slowdown");
         assert!(
             slow > 2.0,

@@ -8,12 +8,15 @@
 //!   sweep;
 //! * [`Workload`] — anything that can run once on a configuration and
 //!   produce a metric;
-//! * [`run_experiment`] — repeated runs per configuration, optionally on
-//!   parallel OS threads, with full determinism per seed;
-//! * [`run_experiment_resilient`] — the hardened variant: per-run fault
-//!   injection, watchdogs and sim-time budgets, contained panics,
-//!   per-run [`RunClass`] classification, bounded retries, and partial
-//!   results when a configuration is wiped out;
+//! * [`run_experiment`] — repeated runs per configuration in one
+//!   [`SpecMode`], on the [`CellRunner`] host thread pool, with full
+//!   determinism per seed: clean runs; resilient runs (per-run fault and
+//!   environment plans, watchdogs and sim-time budgets, contained
+//!   panics, per-run [`RunClass`] classification, bounded retries, and
+//!   partial results when a configuration is wiped out); or
+//!   differential stock-vs-aware runs under identical disturbances;
+//! * [`Experiment`] — the one result shape of every mode: per
+//!   configuration, one [`RunRecord`] per executed leg;
 //! * [`Samples`], [`Stability`], [`Scalability`] — the paper's two
 //!   predictability metrics;
 //! * [`SummaryRow`] / [`Verdict`] — Table-1-style qualitative verdicts,
@@ -23,7 +26,7 @@
 //!
 //! ```
 //! use asym_core::{run_experiment, AsymConfig, Direction, ExperimentOptions,
-//!                 RunResult, RunSetup, Workload};
+//!                 RunResult, RunSetup, SpecMode, Workload};
 //! use asym_kernel::SchedPolicy;
 //!
 //! /// A toy workload whose throughput is exactly proportional to compute
@@ -41,8 +44,10 @@
 //! let exp = run_experiment(
 //!     &Ideal,
 //!     &AsymConfig::standard_nine(),
-//!     SchedPolicy::os_default(),
-//!     &ExperimentOptions::new(3),
+//!     SpecMode::Clean {
+//!         policy: SchedPolicy::os_default(),
+//!         options: ExperimentOptions::new(3),
+//!     },
 //! );
 //! assert!(exp.scalability().is_predictable(0.95));
 //! assert!(exp.worst_asymmetric_cov() < 1e-12);
@@ -63,13 +68,11 @@ pub use cache::{CacheStats, CellCache};
 pub use config::{AsymConfig, ParseConfigError};
 pub use engine::{
     default_jobs, resolve_jobs, Cell, CellReport, CellRunner, ExperimentPlan, PlanOutcome,
-    SpecMode, SpecResult, SweepReport, TraceCheck,
+    SpecMode, SweepReport, TraceCheck,
 };
 pub use experiment::{
-    run_experiment, run_experiment_differential, run_experiment_resilient, ConfigOutcome,
-    DifferentialConfigOutcome, DifferentialExperiment, DifferentialRep, EnvPlanner, Experiment,
-    ExperimentOptions, FaultPlanner, ResilientConfigOutcome, ResilientExperiment, ResilientOptions,
-    RunClass, RunObserver, RunRecord,
+    run_experiment, ConfigOutcome, DifferentialRep, EnvPlanner, Experiment, ExperimentOptions,
+    FaultPlanner, ResilientOptions, RunClass, RunRecord,
 };
 pub use metrics::{Direction, Samples, Scalability, Stability};
 pub use summary::{SummaryRow, Verdict, WorkloadClass};

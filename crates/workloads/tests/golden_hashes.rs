@@ -195,7 +195,7 @@ fn mini_sweep(jobs: usize) -> (String, Vec<Option<u64>>) {
     let outcome = CellRunner::new(jobs).run(plan);
     let mut rendered = String::new();
     for r in &outcome.results {
-        writeln!(rendered, "{}", r.clean()).unwrap();
+        writeln!(rendered, "{r}").unwrap();
     }
     let hashes = outcome.report.cells.iter().map(|c| c.trace_hash).collect();
     (rendered, hashes)
@@ -222,7 +222,7 @@ fn zoo_sweep(jobs: usize) -> (String, Vec<Option<u64>>) {
     let outcome = CellRunner::new(jobs).run(plan);
     let mut rendered = String::new();
     for r in &outcome.results {
-        writeln!(rendered, "{}", r.clean()).unwrap();
+        writeln!(rendered, "{r}").unwrap();
     }
     let hashes = outcome.report.cells.iter().map(|c| c.trace_hash).collect();
     (rendered, hashes)

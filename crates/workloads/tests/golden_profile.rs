@@ -108,7 +108,7 @@ fn engine_metrics(jobs: usize) -> Vec<Option<ProfileMetrics>> {
         .report
         .cells
         .iter()
-        .map(|c| c.metrics.clone())
+        .map(|c| c.metrics.as_deref().cloned())
         .collect()
 }
 

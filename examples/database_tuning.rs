@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release -p asym-examples --example database_tuning`
 
-use asym_core::{run_experiment, AsymConfig, ExperimentOptions, TextTable};
+use asym_core::{run_experiment, AsymConfig, ExperimentOptions, SpecMode, TextTable};
 use asym_kernel::SchedPolicy;
 use asym_workloads::tpch::TpcH;
 
@@ -15,15 +15,22 @@ fn main() {
     let mut t = TextTable::new(vec!["par", "opt", "mean s", "min s", "max s", "cov%"]);
     for (par, opt) in [(4, 7), (8, 7), (4, 4), (4, 2), (1, 7)] {
         let w = TpcH::single_query(3).parallelization(par).optimization(opt);
-        let exp = run_experiment(&w, &config, SchedPolicy::os_default(), &opts);
+        let exp = run_experiment(
+            &w,
+            &config,
+            SpecMode::Clean {
+                policy: SchedPolicy::os_default(),
+                options: opts.clone(),
+            },
+        );
         let o = &exp.outcomes[0];
         t.row(vec![
             par.to_string(),
             opt.to_string(),
-            format!("{:.2}", o.samples.mean()),
-            format!("{:.2}", o.samples.min()),
-            format!("{:.2}", o.samples.max()),
-            format!("{:.1}", o.samples.cov() * 100.0),
+            format!("{:.2}", o.samples().mean()),
+            format!("{:.2}", o.samples().min()),
+            format!("{:.2}", o.samples().max()),
+            format!("{:.1}", o.samples().cov() * 100.0),
         ]);
     }
     println!(

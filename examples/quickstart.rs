@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release -p asym-examples --example quickstart`
 
-use asym_core::{run_experiment, AsymConfig, ExperimentOptions};
+use asym_core::{run_experiment, AsymConfig, ExperimentOptions, SpecMode};
 use asym_kernel::SchedPolicy;
 use asym_workloads::specjbb::{GcKind, SpecJbb};
 
@@ -19,8 +19,10 @@ fn main() {
     let stock = run_experiment(
         &workload,
         &configs,
-        SchedPolicy::os_default(),
-        &ExperimentOptions::new(5),
+        SpecMode::Clean {
+            policy: SchedPolicy::os_default(),
+            options: ExperimentOptions::new(5),
+        },
     );
     println!("Stock kernel:\n{stock}");
 
@@ -28,8 +30,10 @@ fn main() {
     let aware = run_experiment(
         &workload,
         &configs,
-        SchedPolicy::asymmetry_aware(),
-        &ExperimentOptions::new(5),
+        SpecMode::Clean {
+            policy: SchedPolicy::asymmetry_aware(),
+            options: ExperimentOptions::new(5),
+        },
     );
     println!("Asymmetry-aware kernel:\n{aware}");
 

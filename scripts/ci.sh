@@ -256,4 +256,10 @@ else
 fi
 rm -f DEDUP_sweep.json DEDUP_sweep.txt
 
+echo "==> asym_sweep extra_fault_sweep extra_tournament --cache=off --jobs 2 (spec trace checks as record data: both tables unchanged)"
+cargo run -q --release -p asym-bench --bin asym_sweep -- \
+  extra_fault_sweep extra_tournament --cache=off --jobs 2 \
+  | cmp - <(cat results/extra_fault_sweep.txt results/extra_tournament.txt) \
+  || { echo "FAIL: extra_fault_sweep + extra_tournament output differs from results/"; exit 1; }
+
 echo "CI OK"

@@ -78,8 +78,8 @@ fn fig3_japps_stable_and_feedback_scales_throughput() {
     // Response-time percentiles are ordered and scale with slowness
     // (Figure 3(b)).
     let o = exp.outcome(c("2f-2s/8")).expect("config present");
-    assert!(o.extras_mean["mfg_p90_ms"] >= o.extras_mean["mfg_avg_ms"] * 0.8);
-    assert!(o.extras_mean["mfg_max_ms"] >= o.extras_mean["mfg_p90_ms"]);
+    assert!(o.extras_mean()["mfg_p90_ms"] >= o.extras_mean()["mfg_avg_ms"] * 0.8);
+    assert!(o.extras_mean()["mfg_max_ms"] >= o.extras_mean()["mfg_p90_ms"]);
 }
 
 // ------------------------------------------------------------------
@@ -192,8 +192,8 @@ fn fig7_zeus_unstable_both_loads_and_beyond_kernel_reach() {
     // Identical results under the aware kernel: pinned event loops.
     let aware = subset(&light, &configs, SchedPolicy::asymmetry_aware(), 6);
     assert_eq!(
-        l.outcome(c("3f-1s/8")).unwrap().samples,
-        aware.outcome(c("3f-1s/8")).unwrap().samples,
+        l.outcome(c("3f-1s/8")).unwrap().samples(),
+        aware.outcome(c("3f-1s/8")).unwrap().samples(),
     );
 }
 
