@@ -332,6 +332,48 @@ pub fn unprotected_write_race() -> KernelTrace {
     })
 }
 
+/// Three readers each read one [`SimShared`] word with no
+/// synchronization, then a fourth thread writes it after a timer sleep
+/// (which orders nothing): the write races all three reads at once. The
+/// race report must cite the *earliest* conflicting read on every call,
+/// not whichever one a hash-map iteration happened to visit first.
+pub fn unordered_readers_then_write() -> KernelTrace {
+    capture_one(|| {
+        let machine = MachineSpec::symmetric(4, Speed::FULL);
+        let mut k = Kernel::new(machine, SchedPolicy::os_default(), 13);
+        let word: SimShared<u64> = SimShared::new(&mut k, "fixture.word", 0);
+        for name in ["r1", "r2", "r3"] {
+            let word = word.clone();
+            let mut done = false;
+            k.spawn(
+                FnThread::new(name, move |cx| {
+                    if done {
+                        return Step::Done;
+                    }
+                    done = true;
+                    word.read(cx, |w| *w);
+                    Step::Compute(Cycles::from_micros_at_full_speed(10.0))
+                }),
+                SpawnOptions::new(),
+            );
+        }
+        let mut slept = false;
+        k.spawn(
+            FnThread::new("writer", move |cx| {
+                if !slept {
+                    slept = true;
+                    return Step::Sleep(SimDuration::from_millis(1));
+                }
+                // BUG: a plain write no reader synchronizes with.
+                word.write(cx, |w| *w += 1);
+                Step::Done
+            }),
+            SpawnOptions::new(),
+        );
+        k.run();
+    })
+}
+
 /// Each worker protects the shared table with its **own** mutex: every
 /// access happens under a lock, but no common lock covers them all. An
 /// atomic flag hand-off orders the two critical sections, so there is no
@@ -1006,16 +1048,40 @@ mod tests {
         }
     }
 
-    #[test]
-    fn real_dynamic_runs_pass_rerank_hygiene() {
+    /// `threads` workers of `bursts` one-millisecond compute bursts
+    /// each, napping 200 µs between bursts so every nap ends in a
+    /// wakeup placement.
+    fn spawn_workers(k: &mut Kernel, threads: usize, bursts: u32) {
+        for t in 0..threads {
+            let mut left = bursts;
+            let mut nap = false;
+            k.spawn(
+                FnThread::new(format!("w{t}"), move |_cx| {
+                    nap = !nap;
+                    if left == 0 {
+                        Step::Done
+                    } else if nap {
+                        left -= 1;
+                        Step::Compute(Cycles::from_millis_at_full_speed(1.0))
+                    } else {
+                        Step::Sleep(SimDuration::from_micros(200))
+                    }
+                }),
+                SpawnOptions::new(),
+            );
+        }
+    }
+
+    /// A genuine asymmetry-aware run under both continuous dynamics
+    /// (an [`EnvironmentPlan`](asym_sim::EnvironmentPlan)) and discrete
+    /// faults: its speed changes, re-ranks and placements drive the
+    /// stale-ranking and re-rank hygiene lints.
+    fn dynamic_aware_run() -> KernelTrace {
         use asym_sim::{EnvironmentPlan, EnvironmentProfile, FaultPlan, FaultProfile};
-        // A genuine kernel under both continuous dynamics and discrete
-        // faults announces every re-rank and is hysteresis-damped: the
-        // hygiene lint must find nothing.
         let horizon = SimDuration::from_millis(60);
         let env = EnvironmentPlan::generate(3, 4, &EnvironmentProfile::combined(horizon));
         let faults = FaultPlan::generate(3, 4, &FaultProfile::hotplug_and_throttle(horizon));
-        let trace = capture_one(|| {
+        capture_one(|| {
             let mut k = Kernel::new(
                 MachineSpec::asymmetric(2, 2, Speed::fraction_of_full(4)),
                 SchedPolicy::asymmetry_aware(),
@@ -1023,27 +1089,205 @@ mod tests {
             );
             k.set_environment(&env);
             k.set_fault_plan(&faults);
-            for t in 0..6 {
-                let mut left = 10u32;
+            spawn_workers(&mut k, 6, 10);
+            k.run();
+        })
+    }
+
+    /// A genuine fair-share run: more workers than cores, timesliced by
+    /// the vruntime policy, so the starvation lint tracks every queue.
+    fn vruntime_run() -> KernelTrace {
+        capture_one(|| {
+            let mut k = Kernel::new(
+                MachineSpec::symmetric(2, Speed::FULL),
+                SchedPolicy::vruntime_fair(),
+                4,
+            );
+            spawn_workers(&mut k, 5, 30);
+            k.run();
+        })
+    }
+
+    #[test]
+    fn real_dynamic_runs_pass_rerank_hygiene() {
+        // A genuine kernel under both continuous dynamics and discrete
+        // faults announces every re-rank and is hysteresis-damped: the
+        // hygiene lint must find nothing.
+        let trace = dynamic_aware_run();
+        assert!(trace
+            .records()
+            .any(|r| matches!(r.event, TraceEvent::Rerank { .. })));
+        let found = crate::hb::check_rerank_hygiene(&trace);
+        assert!(found.is_empty(), "unexpected: {found:?}");
+    }
+
+    /// The rendered `check_concurrency` verdict of every fixture, byte
+    /// for byte: messages, record indices and the times they cite.
+    type Fixture = fn() -> KernelTrace;
+
+    const PINNED_VERDICTS: &[(&str, Fixture, &str)] = &[
+        ("lock_order_inversion", lock_order_inversion, "clean"),
+        ("ab_ba_deadlock", ab_ba_deadlock, "clean"),
+        ("missed_signal", missed_signal, "clean"),
+        ("stalled_run", stalled_run, "clean"),
+        ("offline_core_dispatch", offline_core_dispatch, "clean"),
+        ("swallowed_kill", swallowed_kill, "clean"),
+        (
+            "unprotected_write_race",
+            unprotected_write_race,
+            "1 data-race\n    - [data-race] at 0.000000s: word 0 of obj0 ('fixture.counter'): \
+             write by tid0 at #4 (0.000000s) and read by tid1 at #6 (0.000000s) are unordered \
+             — no happens-before path connects the accesses [#4->#6]",
+        ),
+        (
+            "unordered_readers_then_write",
+            unordered_readers_then_write,
+            "1 data-race\n    - [data-race] at 0.001000s: word 0 of obj0 ('fixture.word'): \
+             read by tid0 at #5 (0.000000s) and write by tid3 at #17 (0.001000s) are unordered \
+             — no happens-before path connects the accesses [#5->#17]",
+        ),
+        (
+            "lockset_violation",
+            lockset_violation,
+            "1 inconsistent-lock-set\n    - [inconsistent-lock-set] at 0.005000s: obj0 \
+             ('fixture.table') is lock-disciplined (two or more threads access it under locks) \
+             but no common lock protects every access: #4 (0.000000s) held wait0 while the \
+             access by tid1 at #15 (0.005000s) held wait1 [#4->#15]",
+        ),
+        (
+            "stale_ranking_dispatch",
+            stale_ranking_dispatch,
+            "1 stale-ranking, 1 stale-rerank\n    - [stale-ranking] at 0.004000s: tid0 woken \
+             onto core0 (speed 0.125) at #5 while idle eligible core1 (speed 1.000) was faster \
+             under the ranking in force since SpeedChange at #3 — the placement ignored the \
+             current speed ranking [#3->#5]\n    - [stale-rerank] at 0.002000s: SpeedChange at \
+             #3 reordered the online-core speed ranking but no Rerank record for core1 followed \
+             within 0.001000s [#3]",
+        ),
+        (
+            "missing_rerank",
+            missing_rerank,
+            "1 stale-rerank\n    - [stale-rerank] at 0.002000s: SpeedChange at #2 reordered \
+             the online-core speed ranking but no Rerank record for core0 followed within \
+             0.001000s [#2]",
+        ),
+        (
+            "rerank_thrash",
+            rerank_thrash,
+            "1 rerank-thrash\n    - [rerank-thrash] at 0.002800s: 9 re-ranks inside one \
+             0.001000s window (since #3 at 0.002000s): hysteresis failed to damp the churn \
+             [#3->#19]",
+        ),
+        (
+            "downhill_steal",
+            downhill_steal,
+            "1 stale-ranking\n    - [stale-ranking] at 0.005000s: tid0 woken onto core2 \
+             (speed 0.125) at #7 while idle eligible core0 (speed 1.000) was faster under the \
+             machine's initial speed ranking — the placement ignored the current speed ranking \
+             [#7]",
+        ),
+        (
+            "vruntime_starvation",
+            vruntime_starvation,
+            "1 starvation\n    - [starvation] at 0.220000s: thread 0 sat queued on core 0 for \
+             0.220000s (bound 0.200000s) while 220 other dispatches ran there [#0->end]",
+        ),
+        ("dynamic_aware_run", dynamic_aware_run, "clean"),
+        ("vruntime_run", vruntime_run, "clean"),
+    ];
+
+    #[test]
+    fn every_fixture_verdict_is_pinned() {
+        for (name, fixture, expected) in PINNED_VERDICTS {
+            let rendered = crate::render_violations(&crate::hb::check_concurrency(&fixture()));
+            assert_eq!(rendered, *expected, "{name}");
+        }
+    }
+
+    #[test]
+    fn pinned_real_runs_drive_the_policy_gated_lints() {
+        let has =
+            |trace: &KernelTrace, f: fn(&TraceEvent) -> bool| trace.records().any(|r| f(&r.event));
+        let dynamic = dynamic_aware_run();
+        assert!(dynamic.policy.is_asymmetry_aware());
+        assert!(has(&dynamic, |e| matches!(
+            e,
+            TraceEvent::SpeedChange { .. }
+        )));
+        assert!(has(&dynamic, |e| matches!(e, TraceEvent::Rerank { .. })));
+        assert!(has(&dynamic, |e| matches!(e, TraceEvent::Wakeup { .. })));
+        let fair = vruntime_run();
+        assert_eq!(fair.policy.kind(), asym_kernel::PolicyKind::VruntimeFair);
+        assert!(has(&fair, |e| matches!(e, TraceEvent::Preempt { .. })));
+    }
+
+    /// The fused one-pass suite reports exactly what the five
+    /// standalone checks report between them, on every pinned trace.
+    #[test]
+    fn fused_check_equals_the_standalone_checks() {
+        use crate::hb::{
+            check_concurrency, check_locksets, check_races, check_rerank_hygiene,
+            check_stale_ranking, check_starvation,
+        };
+        for (name, fixture, _) in PINNED_VERDICTS {
+            let trace = fixture();
+            let mut separate = check_races(&trace);
+            separate.extend(check_locksets(&trace));
+            separate.extend(check_stale_ranking(&trace));
+            separate.extend(check_rerank_hygiene(&trace));
+            separate.extend(check_starvation(&trace));
+            assert_eq!(
+                check_concurrency(&trace),
+                crate::normalize_violations(separate),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn races_are_tracked_per_word_whatever_the_word_index() {
+        // Word `u32::MAX` races; word 7 of the same object is written by
+        // one thread only, so it stays clean.
+        let trace = capture_one(|| {
+            let mut k = Kernel::new(
+                MachineSpec::symmetric(2, Speed::FULL),
+                SchedPolicy::os_default(),
+                5,
+            );
+            let cell: SimShared<u64> = SimShared::new(&mut k, "fixture.sparse", 0);
+            for name in ["a", "b"] {
+                let cell = cell.clone();
+                let private = name == "a";
                 k.spawn(
-                    FnThread::new(format!("w{t}"), move |_cx| {
-                        if left == 0 {
-                            Step::Done
-                        } else {
-                            left -= 1;
-                            Step::Compute(Cycles::from_millis_at_full_speed(1.0))
+                    FnThread::new(name, move |cx| {
+                        cell.write_at(cx, u32::MAX, |c| *c += 1);
+                        if private {
+                            cell.write_at(cx, 7, |c| *c += 1);
                         }
+                        Step::Done
                     }),
                     SpawnOptions::new(),
                 );
             }
             k.run();
         });
-        assert!(trace
-            .records()
-            .any(|r| matches!(r.event, TraceEvent::Rerank { .. })));
-        let found = crate::hb::check_rerank_hygiene(&trace);
-        assert!(found.is_empty(), "unexpected: {found:?}");
+        let races = crate::hb::check_races(&trace);
+        assert_eq!(races.len(), 1, "{races:?}");
+        assert!(
+            races[0].message.starts_with("word 4294967295 of obj0"),
+            "{}",
+            races[0].message
+        );
+    }
+
+    #[test]
+    fn race_report_cites_the_earliest_conflicting_access() {
+        let trace = unordered_readers_then_write();
+        for _ in 0..100 {
+            let races = crate::hb::check_races(&trace);
+            assert_eq!(races.len(), 1, "{races:?}");
+            assert_eq!(races[0].site, "#5->#17");
+        }
     }
 
     #[test]

@@ -1,11 +1,31 @@
 //! The happens-before engine: vector clocks, race detection, lock-set
 //! checking, and scheduler-policy lints over a captured [`KernelTrace`].
 //!
+//! # One replay
+//!
+//! Every analysis here is a small per-record state machine (a private
+//! `Pass`: `on_record(i, &record)` then `finish()`), so
+//! [`check_concurrency`] decodes each trace **once** and feeds every
+//! record to all five passes in the same loop. Each standalone check
+//! (`check_races`, `check_locksets`, …) runs its one pass alone; there is
+//! one implementation per analysis.
+//!
+//! Pass state lives in dense `Vec`s indexed by [`ThreadId`], [`WaitId`]
+//! and [`ShareId`] — the kernel hands all three out sequentially from
+//! zero — and, within one object, in a `Vec` of its words sorted by word
+//! (words are caller-chosen `u32`s, so they are searched, not indexed). Vector
+//! clocks are joined in place: an acquire joins the object's clock into
+//! the thread's, a release joins the thread's into the object's, a plain
+//! access tests the live thread clock, and a `Signal` snapshot reuses its
+//! slot's buffer. No clock is cloned and no record allocates once the
+//! tables have grown. Only [`happens_before`], whose callers read them,
+//! materializes the edge list.
+//!
 //! # The happens-before relation
 //!
-//! The engine replays the state-complete event stream once, maintaining a
-//! vector clock per simulated thread, and derives ordering edges from the
-//! synchronization events the kernel and `asym-sync` primitives emit:
+//! The engine maintains a vector clock per simulated thread and derives
+//! ordering edges from the synchronization events the kernel and
+//! `asym-sync` primitives emit:
 //!
 //! | Trace events | Edge |
 //! |---|---|
@@ -31,14 +51,16 @@
 //! `SimShared`) are checked FastTrack-style: each (object, word) keeps the
 //! last read and write epoch per thread, and an access racing any
 //! conflicting epoch not covered by the accessor's clock is reported as
-//! [`ViolationKind::DataRace`] with both trace sites.
+//! [`ViolationKind::DataRace`] with both trace sites. The cited earlier
+//! site is the conflicting access with the lowest record index (writes
+//! searched before reads), so the report is the same on every call.
 //!
 //! # Lock-set checking
 //!
-//! An Eraser-style pass over the same accesses: once two distinct threads
-//! access an object while holding locks, the object is treated as
-//! lock-disciplined and the intersection of lock sets over *all* its
-//! accesses must stay non-empty, else
+//! An Eraser-style streaming pass over the same accesses: once two
+//! distinct threads access an object while holding locks, the object is
+//! treated as lock-disciplined and the intersection of lock sets over
+//! *all* its accesses must stay non-empty, else
 //! [`ViolationKind::InconsistentLockSet`].
 //!
 //! # Policy lints
@@ -48,27 +70,74 @@
 //! the fastest idle eligible core *by the speed ranking in force at that
 //! instant* — a dispatch using a ranking stale since a `SpeedChange`
 //! re-rank is reported as [`ViolationKind::StaleRanking`] citing both the
-//! re-rank site and the offending placement.
+//! re-rank site and the offending placement. It is a no-op on traces of
+//! any other policy.
 //!
 //! [`check_rerank_hygiene`] lints the dynamic-asymmetry trace contract
-//! itself: a `SpeedChange` that reorders the online-core speed ranking
-//! must be confirmed by a `Rerank` record within
-//! [`RERANK_STALENESS_BOUND`] ([`ViolationKind::StaleRerank`]), and more
-//! than [`RERANK_THRASH_LIMIT`] re-ranks inside one
+//! itself, under every policy: a `SpeedChange` that reorders the
+//! online-core speed ranking must be confirmed by a `Rerank` record
+//! within [`RERANK_STALENESS_BOUND`] ([`ViolationKind::StaleRerank`]),
+//! and more than [`RERANK_THRASH_LIMIT`] re-ranks inside one
 //! [`RERANK_THRASH_WINDOW`] is churn the environment hysteresis should
 //! have damped ([`ViolationKind::RerankThrash`]).
+//!
+//! [`check_starvation`] is the fair-share lint; it is a no-op on traces
+//! of any policy but [`PolicyKind::VruntimeFair`].
 
-use crate::{KernelTrace, Violation, ViolationKind};
+use crate::{KernelTrace, TraceRecord, Violation, ViolationKind};
 use asym_kernel::{AtomicOp, PolicyKind, ShareId, ThreadId, TraceEvent, WaitId, WakeReason};
-use asym_sim::{CoreId, CoreMask, SimDuration, SimTime};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use asym_sim::{CoreId, CoreMask, SimDuration, SimTime, Speed};
+use std::collections::VecDeque;
+
+// ----------------------------------------------------------------------
+// One replay, many passes
+// ----------------------------------------------------------------------
+
+/// One analysis as a per-record state machine, so the whole suite can
+/// share a single decode of the trace.
+trait Pass {
+    /// Consumes record `i` of the trace.
+    fn on_record(&mut self, i: usize, r: &TraceRecord);
+    /// The findings, once every record has been seen.
+    fn finish(self) -> Vec<Violation>;
+}
+
+/// A policy-gated pass: `None` when the trace's policy is out of scope.
+impl<P: Pass> Pass for Option<P> {
+    fn on_record(&mut self, i: usize, r: &TraceRecord) {
+        if let Some(pass) = self {
+            pass.on_record(i, r);
+        }
+    }
+
+    fn finish(self) -> Vec<Violation> {
+        self.map_or_else(Vec::new, Pass::finish)
+    }
+}
+
+/// Runs one pass alone over `trace`.
+fn replay<P: Pass>(trace: &KernelTrace, mut pass: P) -> Vec<Violation> {
+    for (i, r) in trace.records().enumerate() {
+        pass.on_record(i, &r);
+    }
+    pass.finish()
+}
+
+/// The slot for `idx` in a dense per-index table, grown on demand.
+fn slot<T: Default>(table: &mut Vec<T>, idx: usize) -> &mut T {
+    if table.len() <= idx {
+        table.resize_with(idx + 1, T::default);
+    }
+    &mut table[idx]
+}
 
 // ----------------------------------------------------------------------
 // Vector clocks
 // ----------------------------------------------------------------------
 
-/// A vector clock over thread indices (grown on demand).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// A vector clock over thread indices (grown on demand; missing entries
+/// are zero).
+#[derive(Debug, Default)]
 struct VClock(Vec<u32>);
 
 impl VClock {
@@ -77,26 +146,31 @@ impl VClock {
     }
 
     fn tick(&mut self, t: usize) {
-        if self.0.len() <= t {
-            self.0.resize(t + 1, 0);
-        }
-        self.0[t] += 1;
+        *slot(&mut self.0, t) += 1;
     }
 
     fn join(&mut self, other: &VClock) {
         if self.0.len() < other.0.len() {
             self.0.resize(other.0.len(), 0);
         }
-        for (i, &c) in other.0.iter().enumerate() {
-            if self.0[i] < c {
-                self.0[i] = c;
-            }
+        for (mine, &theirs) in self.0.iter_mut().zip(&other.0) {
+            *mine = (*mine).max(theirs);
         }
     }
 
     /// Does this clock cover thread `t` up to `clock`?
     fn covers(&self, t: usize, clock: u32) -> bool {
         self.get(t) >= clock
+    }
+
+    /// Overwrites this clock with `other`, reusing the buffer.
+    fn copy_from(&mut self, other: &VClock) {
+        self.0.clone_from(&other.0);
+    }
+
+    /// Resets every entry to zero, keeping the buffer.
+    fn clear(&mut self) {
+        self.0.clear();
     }
 }
 
@@ -153,15 +227,6 @@ pub struct HbAnalysis {
 
 /// Names a shared object for diagnostics: `obj3 ('apache.inbox')` when
 /// the registration label survives on the trace, bare `obj3` otherwise.
-/// Decodes the record at `idx` (diagnostics only — O(idx), used when a
-/// violation needs to cite an earlier trace site by index).
-fn record_at(trace: &KernelTrace, idx: usize) -> asym_kernel::TraceRecord {
-    trace
-        .records()
-        .nth(idx)
-        .expect("violation cites a record index inside the trace")
-}
-
 fn obj_name(trace: &KernelTrace, obj: ShareId) -> String {
     match trace.shared_label(obj) {
         Some(label) => format!("{obj} ('{label}')"),
@@ -169,96 +234,285 @@ fn obj_name(trace: &KernelTrace, obj: ShareId) -> String {
     }
 }
 
-/// Per-(object, word) race-detector state: last plain access epoch per
-/// thread, split by access kind.
-#[derive(Debug, Default)]
-struct WordState {
-    /// thread index → (clock at write, record index).
-    writes: HashMap<usize, (u32, usize)>,
-    /// thread index → (clock at read, record index).
-    reads: HashMap<usize, (u32, usize)>,
+/// The edge list, when the caller wants it (`None` records nothing).
+struct Edges(Option<Vec<HbEdge>>);
+
+impl Edges {
+    fn push(&mut self, src: usize, dst: usize, kind: EdgeKind) {
+        if let Some(edges) = &mut self.0 {
+            edges.push(HbEdge { src, dst, kind });
+        }
+    }
 }
 
-/// Replays `trace` once, building the full happens-before relation and
-/// running the vector-clock race detector over plain shared accesses.
-pub fn happens_before(trace: &KernelTrace) -> HbAnalysis {
-    let mut vc: Vec<VClock> = Vec::new();
-    let mut edges: Vec<HbEdge> = Vec::new();
-    let mut races: Vec<Violation> = Vec::new();
+/// Per-thread replay state.
+#[derive(Debug, Default)]
+struct ThreadState {
+    clock: VClock,
+    /// The wait queue the thread is parked on.
+    blocked_on: Option<WaitId>,
+    /// Where the thread's `Done` record sits (join-edge source).
+    done_at: Option<usize>,
+    /// The thread's `Spawn` record, until the thread's first own event.
+    pending_spawn: Option<usize>,
+}
 
-    // Object clocks, each paired with the record index of the latest
-    // publisher (the edge source used when someone acquires from it).
-    let mut lock_vc: HashMap<WaitId, (VClock, usize)> = HashMap::new();
-    let mut sem_vc: HashMap<WaitId, (VClock, usize)> = HashMap::new();
-    let mut queue_vc: HashMap<WaitId, (VClock, usize)> = HashMap::new();
-    let mut atomic_vc: HashMap<(ShareId, u32), (VClock, usize)> = HashMap::new();
-    // Barrier epoch accumulators: joined clock + pending arrival sites.
-    let mut barrier_acc: HashMap<WaitId, (VClock, Vec<usize>)> = HashMap::new();
-    // Latest Signal per wait queue: (record index, waker clock if the
-    // signal came from a simulated thread).
-    let mut last_signal: HashMap<WaitId, (usize, Option<VClock>)> = HashMap::new();
-    // Which wait queue each blocked thread is parked on.
-    let mut blocked_on: HashMap<ThreadId, WaitId> = HashMap::new();
-    // Where each finished thread's Done record sits (join-edge source).
-    let mut done_at: HashMap<ThreadId, usize> = HashMap::new();
-    // Spawn records whose child has not produced an event yet.
-    let mut pending_spawn: HashMap<ThreadId, usize> = HashMap::new();
-    // Race-detector state and once-per-word reporting.
-    let mut words: HashMap<(ShareId, u32), WordState> = HashMap::new();
-    let mut reported: HashSet<(ShareId, u32)> = HashSet::new();
+/// An object clock paired with the record index of its latest publisher
+/// (the edge source used when someone acquires from it); `src` is `None`
+/// until the first publish.
+#[derive(Debug, Default)]
+struct Published {
+    clock: VClock,
+    src: Option<usize>,
+}
 
-    fn clock_of(vc: &mut Vec<VClock>, t: usize) -> &mut VClock {
-        if vc.len() <= t {
-            vc.resize(t + 1, VClock::default());
-        }
-        &mut vc[t]
+impl Published {
+    /// Joins this object's history into `thread`, returning the publisher
+    /// site to draw the edge from (nothing when it was never published).
+    fn acquire_into(&self, thread: &mut VClock) -> Option<usize> {
+        let src = self.src?;
+        thread.join(&self.clock);
+        Some(src)
     }
 
-    for (i, r) in trace.records().enumerate() {
-        // The thread this record belongs to (its author for publishes,
-        // its subject for scheduler events); used for program-order
-        // clock ticks and spawn-edge completion.
-        let subject: Option<ThreadId> = match r.event {
-            TraceEvent::Spawn { parent, .. } => parent,
-            TraceEvent::Signal { waker, .. } => waker,
-            TraceEvent::Dispatch { tid, .. }
-            | TraceEvent::Migrate { tid, .. }
-            | TraceEvent::Preempt { tid, .. }
-            | TraceEvent::Steal { tid, .. }
-            | TraceEvent::Wakeup { tid, .. }
-            | TraceEvent::Block { tid, .. }
-            | TraceEvent::Sleep { tid }
-            | TraceEvent::Done { tid }
-            | TraceEvent::LockAcquire { tid, .. }
-            | TraceEvent::LockRelease { tid, .. }
-            | TraceEvent::CondWait { tid, .. }
-            | TraceEvent::BarrierArrive { tid, .. }
-            | TraceEvent::SemAcquire { tid, .. }
-            | TraceEvent::SemRelease { tid, .. }
-            | TraceEvent::QueuePush { tid, .. }
-            | TraceEvent::QueuePop { tid, .. }
-            | TraceEvent::ThreadKilled { tid }
-            | TraceEvent::SharedRead { tid, .. }
-            | TraceEvent::SharedWrite { tid, .. }
-            | TraceEvent::SharedAtomic { tid, .. } => Some(tid),
-            TraceEvent::ThreadJoin { by, .. } => Some(by),
-            TraceEvent::SetAffinity { .. }
-            | TraceEvent::AffinityOverride { .. }
-            | TraceEvent::SpeedChange { .. }
-            | TraceEvent::Rerank { .. }
-            | TraceEvent::CoreOffline { .. }
-            | TraceEvent::CoreOnline { .. } => None,
+    /// Joins `thread`'s history into this object, published at record `i`.
+    fn release_from(&mut self, thread: &VClock, i: usize) {
+        self.clock.join(thread);
+        self.src = Some(i);
+    }
+}
+
+/// Per-wait-queue replay state, one table entry per [`WaitId`] with a
+/// separate object clock for each primitive kind.
+#[derive(Debug, Default)]
+struct WaitState {
+    lock: Published,
+    sem: Published,
+    queue: Published,
+    /// The current barrier epoch: joined arrival clocks and the pending
+    /// arrival sites.
+    barrier_clock: VClock,
+    barrier_arrivals: Vec<usize>,
+    /// The latest `Signal` on this queue: its record index, and the
+    /// waker's clock when a simulated thread signalled.
+    signal_at: Option<usize>,
+    signal_from_thread: bool,
+    signal_clock: VClock,
+}
+
+/// One plain access to a shared word: the latest by its thread.
+#[derive(Debug, Clone, Copy)]
+struct Access {
+    tid: usize,
+    /// The thread's own clock entry at the access.
+    clock: u32,
+    idx: usize,
+    time: SimTime,
+}
+
+impl Access {
+    /// Records `a` as its thread's latest access in `list`.
+    fn record(list: &mut Vec<Access>, a: Access) {
+        match list.iter_mut().find(|b| b.tid == a.tid) {
+            Some(b) => *b = a,
+            None => list.push(a),
+        }
+    }
+
+    /// The access in `list` with the lowest record index that races an
+    /// access by thread `t` whose clock is `me`.
+    fn earliest_conflict(list: &[Access], t: usize, me: &VClock) -> Option<Access> {
+        list.iter()
+            .filter(|a| a.tid != t && !me.covers(a.tid, a.clock))
+            .min_by_key(|a| a.idx)
+            .copied()
+    }
+}
+
+/// Per-(object, word) replay state: the atomic clock and the race
+/// detector's last plain accesses per thread, split by kind.
+#[derive(Debug, Default)]
+struct WordState {
+    atomic: Published,
+    writes: Vec<Access>,
+    reads: Vec<Access>,
+    /// One race report per word.
+    reported: bool,
+}
+
+/// The thread a record belongs to (its author for publishes, its subject
+/// for scheduler events); used for program-order clock ticks and
+/// spawn-edge completion.
+fn subject(event: &TraceEvent) -> Option<ThreadId> {
+    match *event {
+        TraceEvent::Spawn { parent, .. } => parent,
+        TraceEvent::Signal { waker, .. } => waker,
+        TraceEvent::Dispatch { tid, .. }
+        | TraceEvent::Migrate { tid, .. }
+        | TraceEvent::Preempt { tid, .. }
+        | TraceEvent::Steal { tid, .. }
+        | TraceEvent::Wakeup { tid, .. }
+        | TraceEvent::Block { tid, .. }
+        | TraceEvent::Sleep { tid }
+        | TraceEvent::Done { tid }
+        | TraceEvent::LockAcquire { tid, .. }
+        | TraceEvent::LockRelease { tid, .. }
+        | TraceEvent::CondWait { tid, .. }
+        | TraceEvent::BarrierArrive { tid, .. }
+        | TraceEvent::SemAcquire { tid, .. }
+        | TraceEvent::SemRelease { tid, .. }
+        | TraceEvent::QueuePush { tid, .. }
+        | TraceEvent::QueuePop { tid, .. }
+        | TraceEvent::ThreadKilled { tid }
+        | TraceEvent::SharedRead { tid, .. }
+        | TraceEvent::SharedWrite { tid, .. }
+        | TraceEvent::SharedAtomic { tid, .. } => Some(tid),
+        TraceEvent::ThreadJoin { by, .. } => Some(by),
+        TraceEvent::SetAffinity { .. }
+        | TraceEvent::AffinityOverride { .. }
+        | TraceEvent::SpeedChange { .. }
+        | TraceEvent::Rerank { .. }
+        | TraceEvent::CoreOffline { .. }
+        | TraceEvent::CoreOnline { .. } => None,
+    }
+}
+
+/// The state of `word` in one object's sorted word table.
+fn word_state(words: &mut Vec<(u32, WordState)>, word: u32) -> &mut WordState {
+    let pos = match words.binary_search_by_key(&word, |&(w, _)| w) {
+        Ok(pos) => pos,
+        Err(pos) => {
+            words.insert(pos, (word, WordState::default()));
+            pos
+        }
+    };
+    &mut words[pos].1
+}
+
+/// Joins thread `src`'s clock into thread `dst`'s.
+fn join_threads(threads: &mut Vec<ThreadState>, dst: usize, src: usize) {
+    slot(threads, dst.max(src));
+    if dst < src {
+        let (low, high) = threads.split_at_mut(src);
+        low[dst].clock.join(&high[0].clock);
+    } else if src < dst {
+        let (low, high) = threads.split_at_mut(dst);
+        high[0].clock.join(&low[src].clock);
+    }
+}
+
+/// The happens-before replay and its vector-clock race detector.
+struct HbPass<'a> {
+    trace: &'a KernelTrace,
+    edges: Edges,
+    races: Vec<Violation>,
+    threads: Vec<ThreadState>,
+    waits: Vec<WaitState>,
+    /// Indexed by [`ShareId`]; each object's words sorted by word.
+    objects: Vec<Vec<(u32, WordState)>>,
+}
+
+impl<'a> HbPass<'a> {
+    fn new(trace: &'a KernelTrace, edges: Option<Vec<HbEdge>>) -> Self {
+        HbPass {
+            trace,
+            edges: Edges(edges),
+            races: Vec::new(),
+            threads: Vec::new(),
+            waits: Vec::new(),
+            objects: Vec::new(),
+        }
+    }
+
+    /// Record `i`: `tid` acquires from the `object` of wait queue `wait`.
+    fn acquire(
+        &mut self,
+        i: usize,
+        tid: ThreadId,
+        wait: WaitId,
+        object: fn(&WaitState) -> &Published,
+        kind: EdgeKind,
+    ) {
+        let me = &mut slot(&mut self.threads, tid.index()).clock;
+        if let Some(src) = self
+            .waits
+            .get(wait.index())
+            .and_then(|w| object(w).acquire_into(me))
+        {
+            self.edges.push(src, i, kind);
+        }
+    }
+
+    /// Record `i`: `tid` publishes to the `object` of wait queue `wait`.
+    fn release(
+        &mut self,
+        i: usize,
+        tid: ThreadId,
+        wait: WaitId,
+        object: fn(&mut WaitState) -> &mut Published,
+    ) {
+        let me = &slot(&mut self.threads, tid.index()).clock;
+        object(slot(&mut self.waits, wait.index())).release_from(me, i);
+    }
+
+    /// A plain access by `tid` to (`obj`, `word`) at record `i`: checks
+    /// it against the conflicting epochs (writes only for a read; writes,
+    /// then reads, for a write) and records it.
+    fn plain_access(
+        &mut self,
+        i: usize,
+        time: SimTime,
+        (tid, obj, word): (ThreadId, ShareId, u32),
+        write: bool,
+    ) {
+        let t = tid.index();
+        let me = &slot(&mut self.threads, t).clock;
+        let access = Access {
+            tid: t,
+            clock: me.get(t),
+            idx: i,
+            time,
         };
+        let state = word_state(slot(&mut self.objects, obj.index()), word);
+        if !state.reported {
+            let conflict = match Access::earliest_conflict(&state.writes, t, me) {
+                Some(a) => Some((a, "write")),
+                None if write => {
+                    Access::earliest_conflict(&state.reads, t, me).map(|a| (a, "read"))
+                }
+                None => None,
+            };
+            if let Some(earlier) = conflict {
+                state.reported = true;
+                let later = (access, if write { "write" } else { "read" });
+                self.races
+                    .push(race_violation(self.trace, obj, word, earlier, later));
+            }
+        }
+        Access::record(
+            if write {
+                &mut state.writes
+            } else {
+                &mut state.reads
+            },
+            access,
+        );
+    }
+}
+
+impl Pass for HbPass<'_> {
+    fn on_record(&mut self, i: usize, r: &TraceRecord) {
+        let subject = subject(&r.event);
 
         // Complete a pending spawn edge at the child's first event.
         if let Some(t) = subject {
-            if let Some(src) = pending_spawn.remove(&t) {
+            if let Some(src) = self
+                .threads
+                .get_mut(t.index())
+                .and_then(|s| s.pending_spawn.take())
+            {
                 if src < i {
-                    edges.push(HbEdge {
-                        src,
-                        dst: i,
-                        kind: EdgeKind::Spawn,
-                    });
+                    self.edges.push(src, i, EdgeKind::Spawn);
                 }
             }
         }
@@ -267,195 +521,98 @@ pub fn happens_before(trace: &KernelTrace) -> HbAnalysis {
             TraceEvent::Spawn { tid, parent, .. } => {
                 // The child inherits the parent's history.
                 if let Some(p) = parent {
-                    let parent_clock = clock_of(&mut vc, p.index()).clone();
-                    clock_of(&mut vc, tid.index()).join(&parent_clock);
+                    join_threads(&mut self.threads, tid.index(), p.index());
                 }
-                pending_spawn.insert(tid, i);
+                slot(&mut self.threads, tid.index()).pending_spawn = Some(i);
             }
             TraceEvent::Block { tid, wait } => {
-                blocked_on.insert(tid, wait);
+                slot(&mut self.threads, tid.index()).blocked_on = Some(wait);
             }
             TraceEvent::Wakeup { tid, reason, .. } => {
+                let thread = slot(&mut self.threads, tid.index());
+                let wait = thread.blocked_on.take();
                 if reason == WakeReason::Signal {
-                    if let Some(wait) = blocked_on.remove(&tid) {
-                        if let Some((sig_idx, Some(waker_clock))) = last_signal.get(&wait) {
-                            let waker_clock = waker_clock.clone();
-                            clock_of(&mut vc, tid.index()).join(&waker_clock);
-                            edges.push(HbEdge {
-                                src: *sig_idx,
-                                dst: i,
-                                kind: EdgeKind::Signal,
-                            });
+                    if let Some(w) = wait.and_then(|w| self.waits.get(w.index())) {
+                        if let (Some(src), true) = (w.signal_at, w.signal_from_thread) {
+                            thread.clock.join(&w.signal_clock);
+                            self.edges.push(src, i, EdgeKind::Signal);
                         }
                     }
-                } else {
-                    blocked_on.remove(&tid);
                 }
             }
             TraceEvent::Signal { waker, wait, .. } => {
-                let snapshot = waker.map(|w| clock_of(&mut vc, w.index()).clone());
-                last_signal.insert(wait, (i, snapshot));
+                let w = slot(&mut self.waits, wait.index());
+                w.signal_at = Some(i);
+                w.signal_from_thread = waker.is_some();
+                if let Some(waker) = waker {
+                    w.signal_clock
+                        .copy_from(&slot(&mut self.threads, waker.index()).clock);
+                }
             }
             TraceEvent::Done { tid } => {
-                done_at.insert(tid, i);
-                blocked_on.remove(&tid);
+                let thread = slot(&mut self.threads, tid.index());
+                thread.done_at = Some(i);
+                thread.blocked_on = None;
             }
             TraceEvent::ThreadJoin { by, of } => {
-                let dead_clock = clock_of(&mut vc, of.index()).clone();
-                clock_of(&mut vc, by.index()).join(&dead_clock);
-                if let Some(&src) = done_at.get(&of) {
-                    edges.push(HbEdge {
-                        src,
-                        dst: i,
-                        kind: EdgeKind::Join,
-                    });
+                join_threads(&mut self.threads, by.index(), of.index());
+                if let Some(src) = self.threads[of.index()].done_at {
+                    self.edges.push(src, i, EdgeKind::Join);
                 }
             }
             TraceEvent::LockAcquire { tid, lock, .. } => {
-                if let Some((v, src)) = lock_vc.get(&lock) {
-                    let v = v.clone();
-                    let src = *src;
-                    clock_of(&mut vc, tid.index()).join(&v);
-                    edges.push(HbEdge {
-                        src,
-                        dst: i,
-                        kind: EdgeKind::Lock,
-                    });
-                }
+                self.acquire(i, tid, lock, |w| &w.lock, EdgeKind::Lock);
             }
-            TraceEvent::LockRelease { tid, lock } => {
-                let own = clock_of(&mut vc, tid.index()).clone();
-                let entry = lock_vc.entry(lock).or_default();
-                entry.0.join(&own);
-                entry.1 = i;
-            }
+            TraceEvent::LockRelease { tid, lock } => self.release(i, tid, lock, |w| &mut w.lock),
             TraceEvent::BarrierArrive {
                 tid,
                 barrier,
                 released,
             } => {
-                let own = clock_of(&mut vc, tid.index()).clone();
-                let entry = barrier_acc.entry(barrier).or_default();
+                let me = &mut slot(&mut self.threads, tid.index()).clock;
+                let w = slot(&mut self.waits, barrier.index());
                 if released {
                     // The releasing arrival acquires every earlier
                     // arrival of the epoch; waiters then inherit it
                     // through the releaser's Signal→Wakeup edges.
-                    let (acc, pend) = std::mem::take(entry);
-                    clock_of(&mut vc, tid.index()).join(&acc);
-                    for src in pend {
-                        edges.push(HbEdge {
-                            src,
-                            dst: i,
-                            kind: EdgeKind::Barrier,
-                        });
+                    me.join(&w.barrier_clock);
+                    for &src in &w.barrier_arrivals {
+                        self.edges.push(src, i, EdgeKind::Barrier);
                     }
+                    w.barrier_clock.clear();
+                    w.barrier_arrivals.clear();
                 } else {
-                    entry.0.join(&own);
-                    entry.1.push(i);
+                    w.barrier_clock.join(me);
+                    w.barrier_arrivals.push(i);
                 }
             }
-            TraceEvent::SemRelease { tid, sem } => {
-                let own = clock_of(&mut vc, tid.index()).clone();
-                let entry = sem_vc.entry(sem).or_default();
-                entry.0.join(&own);
-                entry.1 = i;
-            }
+            TraceEvent::SemRelease { tid, sem } => self.release(i, tid, sem, |w| &mut w.sem),
             TraceEvent::SemAcquire { tid, sem } => {
-                if let Some((v, src)) = sem_vc.get(&sem) {
-                    let v = v.clone();
-                    let src = *src;
-                    clock_of(&mut vc, tid.index()).join(&v);
-                    edges.push(HbEdge {
-                        src,
-                        dst: i,
-                        kind: EdgeKind::Sem,
-                    });
-                }
+                self.acquire(i, tid, sem, |w| &w.sem, EdgeKind::Sem);
             }
             TraceEvent::QueuePush { tid, queue } => {
-                let own = clock_of(&mut vc, tid.index()).clone();
-                let entry = queue_vc.entry(queue).or_default();
-                entry.0.join(&own);
-                entry.1 = i;
+                self.release(i, tid, queue, |w| &mut w.queue);
             }
             TraceEvent::QueuePop { tid, queue } => {
-                if let Some((v, src)) = queue_vc.get(&queue) {
-                    let v = v.clone();
-                    let src = *src;
-                    clock_of(&mut vc, tid.index()).join(&v);
-                    edges.push(HbEdge {
-                        src,
-                        dst: i,
-                        kind: EdgeKind::Queue,
-                    });
-                }
+                self.acquire(i, tid, queue, |w| &w.queue, EdgeKind::Queue);
             }
             TraceEvent::SharedAtomic { tid, obj, word, op } => {
-                let key = (obj, word);
+                let me = &mut slot(&mut self.threads, tid.index()).clock;
+                let atomic = &mut word_state(slot(&mut self.objects, obj.index()), word).atomic;
                 if matches!(op, AtomicOp::Load | AtomicOp::Rmw) {
-                    if let Some((v, src)) = atomic_vc.get(&key) {
-                        let v = v.clone();
-                        let src = *src;
-                        clock_of(&mut vc, tid.index()).join(&v);
-                        edges.push(HbEdge {
-                            src,
-                            dst: i,
-                            kind: EdgeKind::Atomic,
-                        });
+                    if let Some(src) = atomic.acquire_into(me) {
+                        self.edges.push(src, i, EdgeKind::Atomic);
                     }
                 }
                 if matches!(op, AtomicOp::Store | AtomicOp::Rmw) {
-                    let own = clock_of(&mut vc, tid.index()).clone();
-                    let entry = atomic_vc.entry(key).or_default();
-                    entry.0.join(&own);
-                    entry.1 = i;
+                    atomic.release_from(me, i);
                 }
             }
             TraceEvent::SharedRead { tid, obj, word } => {
-                let t = tid.index();
-                let clock = clock_of(&mut vc, t).get(t);
-                let me = clock_of(&mut vc, t).clone();
-                let state = words.entry((obj, word)).or_default();
-                // A read races only with unordered *writes*.
-                let conflict = state
-                    .writes
-                    .iter()
-                    .find(|(&u, &(cu, _))| u != t && !me.covers(u, cu))
-                    .map(|(&u, &(_, iu))| (u, iu));
-                if let Some((u, iu)) = conflict {
-                    if reported.insert((obj, word)) {
-                        races.push(race_violation(
-                            trace, obj, word, u, iu, "write", t, i, "read", r.time,
-                        ));
-                    }
-                }
-                state.reads.insert(t, (clock, i));
+                self.plain_access(i, r.time, (tid, obj, word), false);
             }
             TraceEvent::SharedWrite { tid, obj, word } => {
-                let t = tid.index();
-                let clock = clock_of(&mut vc, t).get(t);
-                let me = clock_of(&mut vc, t).clone();
-                let state = words.entry((obj, word)).or_default();
-                // A write races with any unordered access.
-                let conflict = state
-                    .writes
-                    .iter()
-                    .map(|(&u, &(cu, iu))| (u, cu, iu, "write"))
-                    .chain(
-                        state
-                            .reads
-                            .iter()
-                            .map(|(&u, &(cu, iu))| (u, cu, iu, "read")),
-                    )
-                    .find(|&(u, cu, _, _)| u != t && !me.covers(u, cu));
-                if let Some((u, _, iu, what)) = conflict {
-                    if reported.insert((obj, word)) {
-                        races.push(race_violation(
-                            trace, obj, word, u, iu, what, t, i, "write", r.time,
-                        ));
-                    }
-                }
-                state.writes.insert(t, (clock, i));
+                self.plain_access(i, r.time, (tid, obj, word), true);
             }
             _ => {}
         }
@@ -464,51 +621,202 @@ pub fn happens_before(trace: &KernelTrace) -> HbAnalysis {
         // so anything it published here is distinguishable from its
         // later accesses.
         if let Some(t) = subject {
-            clock_of(&mut vc, t.index()).tick(t.index());
+            slot(&mut self.threads, t.index()).clock.tick(t.index());
         }
     }
 
-    HbAnalysis { edges, races }
+    fn finish(self) -> Vec<Violation> {
+        self.races
+    }
 }
 
-/// Builds the two-site diagnostic for one data race.
-#[allow(clippy::too_many_arguments)]
+/// Replays `trace` once, building the full happens-before relation and
+/// running the vector-clock race detector over plain shared accesses.
+pub fn happens_before(trace: &KernelTrace) -> HbAnalysis {
+    let mut pass = HbPass::new(trace, Some(Vec::new()));
+    for (i, r) in trace.records().enumerate() {
+        pass.on_record(i, &r);
+    }
+    HbAnalysis {
+        edges: pass.edges.0.take().unwrap_or_default(),
+        races: pass.finish(),
+    }
+}
+
+/// Builds the two-site diagnostic for one data race between an earlier
+/// and a later access, each with its kind (`"read"` / `"write"`).
 fn race_violation(
     trace: &KernelTrace,
     obj: ShareId,
     word: u32,
-    earlier_thread: usize,
-    earlier_idx: usize,
-    earlier_kind: &str,
-    later_thread: usize,
-    later_idx: usize,
-    later_kind: &str,
-    time: SimTime,
+    (earlier, earlier_kind): (Access, &str),
+    (later, later_kind): (Access, &str),
 ) -> Violation {
-    let earlier_time = record_at(trace, earlier_idx).time;
     let object = obj_name(trace, obj);
     Violation::new(
         ViolationKind::DataRace,
-        Some(time),
+        Some(later.time),
         format!(
-            "word {word} of {object}: {earlier_kind} by tid{earlier_thread} at #{earlier_idx} \
-             ({earlier_time}) and {later_kind} by tid{later_thread} at #{later_idx} ({time}) \
-             are unordered — no happens-before path connects the accesses"
+            "word {word} of {object}: {earlier_kind} by tid{} at #{} ({}) and {later_kind} by \
+             tid{} at #{} ({}) are unordered — no happens-before path connects the accesses",
+            earlier.tid, earlier.idx, earlier.time, later.tid, later.idx, later.time
         ),
     )
     .with_object(object)
-    .with_site(format!("#{earlier_idx}->#{later_idx}"))
+    .with_site(format!("#{}->#{}", earlier.idx, later.idx))
 }
 
 /// Runs the vector-clock data-race detector over `trace` (one report per
 /// racy (object, word), citing both access sites).
 pub fn check_races(trace: &KernelTrace) -> Vec<Violation> {
-    happens_before(trace).races
+    replay(trace, HbPass::new(trace, None))
 }
 
 // ----------------------------------------------------------------------
 // Lock-set (atomicity) checking
 // ----------------------------------------------------------------------
+
+/// A plain access site for the lock-set diagnostics.
+#[derive(Debug, Clone, Copy)]
+struct Site {
+    tid: ThreadId,
+    idx: usize,
+    time: SimTime,
+}
+
+/// Streaming lock-set state of one shared object.
+#[derive(Debug)]
+struct ObjectLocks {
+    obj: ShareId,
+    /// The running intersection of lock sets, up to the culprit.
+    common: Vec<WaitId>,
+    /// The last access that kept the intersection non-empty, and the
+    /// locks it held.
+    witness: Site,
+    witness_held: Vec<WaitId>,
+    /// The first access that emptied the intersection, and its locks.
+    culprit: Option<(Site, Vec<WaitId>)>,
+    /// The first thread seen accessing under a lock, and whether a
+    /// second, distinct one has been seen too.
+    first_locked: Option<ThreadId>,
+    two_locked: bool,
+}
+
+/// The Eraser-style lock-set pass (see [`check_locksets`]).
+struct LockSets<'a> {
+    trace: &'a KernelTrace,
+    /// Locks each thread holds, sorted.
+    held: Vec<Vec<WaitId>>,
+    /// Indexed by [`ShareId`]; `None` until the object's first access.
+    objects: Vec<Option<ObjectLocks>>,
+}
+
+impl<'a> LockSets<'a> {
+    fn new(trace: &'a KernelTrace) -> Self {
+        LockSets {
+            trace,
+            held: Vec::new(),
+            objects: Vec::new(),
+        }
+    }
+}
+
+impl Pass for LockSets<'_> {
+    fn on_record(&mut self, i: usize, r: &TraceRecord) {
+        match r.event {
+            TraceEvent::LockAcquire { tid, lock, .. } => {
+                let held = slot(&mut self.held, tid.index());
+                if let Err(pos) = held.binary_search(&lock) {
+                    held.insert(pos, lock);
+                }
+            }
+            TraceEvent::LockRelease { tid, lock } => {
+                if let Some(held) = self.held.get_mut(tid.index()) {
+                    if let Ok(pos) = held.binary_search(&lock) {
+                        held.remove(pos);
+                    }
+                }
+            }
+            TraceEvent::SharedRead { tid, obj, .. } | TraceEvent::SharedWrite { tid, obj, .. } => {
+                let held = slot(&mut self.held, tid.index());
+                let site = Site {
+                    tid,
+                    idx: i,
+                    time: r.time,
+                };
+                let entry = slot(&mut self.objects, obj.index());
+                let first = entry.is_none();
+                let o = entry.get_or_insert_with(|| ObjectLocks {
+                    obj,
+                    common: held.clone(),
+                    witness: site,
+                    witness_held: held.clone(),
+                    culprit: None,
+                    first_locked: None,
+                    two_locked: false,
+                });
+                if !first && o.culprit.is_none() {
+                    o.common.retain(|l| held.binary_search(l).is_ok());
+                    if o.common.is_empty() {
+                        o.culprit = Some((site, held.clone()));
+                    } else {
+                        o.witness = site;
+                        o.witness_held.clone_from(held);
+                    }
+                }
+                if !held.is_empty() {
+                    match o.first_locked {
+                        None => o.first_locked = Some(tid),
+                        Some(first) => o.two_locked |= first != tid,
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn finish(self) -> Vec<Violation> {
+        let held_list = |s: &[WaitId]| {
+            if s.is_empty() {
+                "no locks".to_string()
+            } else {
+                s.iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>()
+                    .join("+")
+            }
+        };
+        let mut violations = Vec::new();
+        for o in self.objects.iter().flatten().filter(|o| o.two_locked) {
+            let Some((culprit, culprit_held)) = &o.culprit else {
+                continue;
+            };
+            let object = obj_name(self.trace, o.obj);
+            let witness = o.witness;
+            violations.push(
+                Violation::new(
+                    ViolationKind::InconsistentLockSet,
+                    Some(culprit.time),
+                    format!(
+                        "{object} is lock-disciplined (two or more threads access it under locks) \
+                         but no common lock protects every access: #{} ({}) held {} while the \
+                         access by tid{} at #{} ({}) held {}",
+                        witness.idx,
+                        witness.time,
+                        held_list(&o.witness_held),
+                        culprit.tid.index(),
+                        culprit.idx,
+                        culprit.time,
+                        held_list(culprit_held),
+                    ),
+                )
+                .with_object(object)
+                .with_site(format!("#{}->#{}", witness.idx, culprit.idx)),
+            );
+        }
+        violations
+    }
+}
 
 /// Eraser-style lock-set checking over plain `SimShared` accesses.
 ///
@@ -523,202 +831,128 @@ pub fn check_races(trace: &KernelTrace) -> Vec<Violation> {
 /// message-passing style most workloads use) never enter the check, so
 /// it adds no false positives on top of the race detector.
 pub fn check_locksets(trace: &KernelTrace) -> Vec<Violation> {
-    struct Access {
-        tid: ThreadId,
-        idx: usize,
-        time: SimTime,
-        held: BTreeSet<WaitId>,
-    }
-    let mut held: HashMap<ThreadId, BTreeSet<WaitId>> = HashMap::new();
-    let mut accesses: HashMap<ShareId, Vec<Access>> = HashMap::new();
-
-    for (i, r) in trace.records().enumerate() {
-        match r.event {
-            TraceEvent::LockAcquire { tid, lock, .. } => {
-                held.entry(tid).or_default().insert(lock);
-            }
-            TraceEvent::LockRelease { tid, lock } => {
-                if let Some(set) = held.get_mut(&tid) {
-                    set.remove(&lock);
-                }
-            }
-            TraceEvent::SharedRead { tid, obj, .. } | TraceEvent::SharedWrite { tid, obj, .. } => {
-                accesses.entry(obj).or_default().push(Access {
-                    tid,
-                    idx: i,
-                    time: r.time,
-                    held: held.get(&tid).cloned().unwrap_or_default(),
-                });
-            }
-            _ => {}
-        }
-    }
-
-    let mut violations = Vec::new();
-    let mut objs: Vec<_> = accesses.into_iter().collect();
-    objs.sort_by_key(|(obj, _)| *obj);
-    for (obj, accs) in objs {
-        let locked_threads: HashSet<ThreadId> = accs
-            .iter()
-            .filter(|a| !a.held.is_empty())
-            .map(|a| a.tid)
-            .collect();
-        if locked_threads.len() < 2 {
-            continue;
-        }
-        let mut inter = accs[0].held.clone();
-        let mut witness = accs[0].idx;
-        let mut culprit = None;
-        for a in &accs[1..] {
-            let narrowed: BTreeSet<WaitId> = inter.intersection(&a.held).copied().collect();
-            if narrowed.is_empty() {
-                culprit = Some(a);
-                break;
-            }
-            inter = narrowed;
-            witness = a.idx;
-        }
-        let Some(culprit) = culprit else {
-            continue;
-        };
-        let object = obj_name(trace, obj);
-        let w = record_at(trace, witness);
-        let held_list = |s: &BTreeSet<WaitId>| {
-            if s.is_empty() {
-                "no locks".to_string()
-            } else {
-                s.iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("+")
-            }
-        };
-        let witness_held = accs
-            .iter()
-            .find(|a| a.idx == witness)
-            .map(|a| held_list(&a.held))
-            .unwrap_or_default();
-        violations.push(
-            Violation::new(
-                ViolationKind::InconsistentLockSet,
-                Some(culprit.time),
-                format!(
-                    "{object} is lock-disciplined (two or more threads access it under locks) \
-                     but no common lock protects every access: #{witness} ({}) held \
-                     {witness_held} while {} by tid{} at #{} ({}) held {}",
-                    w.time,
-                    "the access",
-                    culprit.tid.index(),
-                    culprit.idx,
-                    culprit.time,
-                    held_list(&culprit.held),
-                ),
-            )
-            .with_object(object)
-            .with_site(format!("#{witness}->#{}", culprit.idx)),
-        );
-    }
-    violations
+    replay(trace, LockSets::new(trace))
 }
 
 // ----------------------------------------------------------------------
 // Policy lint: placements must honour the current speed ranking
 // ----------------------------------------------------------------------
 
-/// Lints every placement decision (spawn and wakeup) of an
-/// asymmetry-aware trace against the speed ranking in force at that
-/// instant: when any idle, online, affinity-eligible core exists, the
-/// kernel's placement contract is "fastest such core, ties to the lowest
-/// index". A placement that lands anywhere else used a stale (or plain
-/// wrong) ranking — the §3.1.1 bug class where a fault re-ranks the
-/// cores and a dispatch keeps consulting the old table. The report cites
-/// both the ranking site (the latest `SpeedChange`, or the initial
-/// machine shape) and the offending placement.
-pub fn check_stale_ranking(trace: &KernelTrace) -> Vec<Violation> {
-    if !trace.policy.is_asymmetry_aware() {
-        return Vec::new();
-    }
-    struct CoreState {
-        running: Option<ThreadId>,
-        queue: Vec<ThreadId>,
-    }
-    let mut speeds = trace.machine.speeds().to_vec();
-    let mut online = vec![true; speeds.len()];
-    let mut cores: Vec<CoreState> = speeds
-        .iter()
-        .map(|_| CoreState {
-            running: None,
-            queue: Vec::new(),
-        })
-        .collect();
-    let mut affinity: HashMap<ThreadId, CoreMask> = HashMap::new();
-    let mut rank_site: Option<usize> = None;
-    let mut violations = Vec::new();
+#[derive(Debug, Default)]
+struct CoreState {
+    running: Option<ThreadId>,
+    queue: Vec<ThreadId>,
+}
 
-    fn remove(v: &mut Vec<ThreadId>, tid: ThreadId) {
-        if let Some(pos) = v.iter().position(|&t| t == tid) {
-            v.remove(pos);
+/// The stale-ranking placement lint (see [`check_stale_ranking`]).
+struct StaleRanking {
+    speeds: Vec<Speed>,
+    online: Vec<bool>,
+    cores: Vec<CoreState>,
+    /// Each thread's affinity, once known.
+    affinity: Vec<Option<CoreMask>>,
+    /// The latest `SpeedChange` record.
+    rank_site: Option<usize>,
+    violations: Vec<Violation>,
+}
+
+impl StaleRanking {
+    /// The lint for `trace`, or `None` unless its policy is
+    /// asymmetry-aware.
+    fn new(trace: &KernelTrace) -> Option<Self> {
+        if !trace.policy.is_asymmetry_aware() {
+            return None;
         }
+        let speeds = trace.machine.speeds().to_vec();
+        Some(StaleRanking {
+            online: vec![true; speeds.len()],
+            cores: speeds.iter().map(|_| CoreState::default()).collect(),
+            speeds,
+            affinity: Vec::new(),
+            rank_site: None,
+            violations: Vec::new(),
+        })
     }
 
-    for (i, r) in trace.records().enumerate() {
+    /// Lints one placement of `tid` onto `chosen` against the fastest
+    /// idle, online, `mask`-eligible core (ties to the lowest index).
+    fn lint_placement(
+        &mut self,
+        i: usize,
+        time: SimTime,
+        (tid, chosen, mask, what): (ThreadId, CoreId, CoreMask, &str),
+    ) {
+        let mut best: Option<usize> = None;
+        for (c, core) in self.cores.iter().enumerate() {
+            let eligible = self.online[c]
+                && mask.contains(CoreId(c))
+                && core.running.is_none()
+                && core.queue.is_empty();
+            if eligible && best.is_none_or(|b| self.speeds[c] > self.speeds[b]) {
+                best = Some(c);
+            }
+        }
+        let Some(best) = best.filter(|&b| b != chosen.0) else {
+            return;
+        };
+        let (rank_desc, site) = match self.rank_site {
+            Some(s) => (
+                format!("the ranking in force since SpeedChange at #{s}"),
+                format!("#{s}->#{i}"),
+            ),
+            None => (
+                "the machine's initial speed ranking".to_string(),
+                format!("#{i}"),
+            ),
+        };
+        self.violations.push(
+            Violation::new(
+                ViolationKind::StaleRanking,
+                Some(time),
+                format!(
+                    "{tid} {what} core{} (speed {:.3}) at #{i} while idle eligible \
+                     core{best} (speed {:.3}) was faster under {rank_desc} — the \
+                     placement ignored the current speed ranking",
+                    chosen.0,
+                    self.speeds[chosen.0].factor(),
+                    self.speeds[best].factor(),
+                ),
+            )
+            .with_object(format!("core{}", chosen.0))
+            .with_site(site),
+        );
+    }
+}
+
+fn remove(v: &mut Vec<ThreadId>, tid: ThreadId) {
+    if let Some(pos) = v.iter().position(|&t| t == tid) {
+        v.remove(pos);
+    }
+}
+
+impl Pass for StaleRanking {
+    fn on_record(&mut self, i: usize, r: &TraceRecord) {
         // Lint placements before applying their state effect: the
         // eligibility snapshot is the instant *before* the thread lands.
-        let placement: Option<(ThreadId, CoreId, CoreMask, &str)> = match r.event {
+        let placement = match r.event {
             TraceEvent::Spawn {
                 tid,
                 core,
                 affinity: mask,
                 ..
             } => Some((tid, core, mask, "spawned onto")),
-            TraceEvent::Wakeup { tid, core, .. } => affinity
-                .get(&tid)
-                .map(|&mask| (tid, core, mask, "woken onto")),
+            TraceEvent::Wakeup { tid, core, .. } => self
+                .affinity
+                .get(tid.index())
+                .copied()
+                .flatten()
+                .map(|mask| (tid, core, mask, "woken onto")),
             _ => None,
         };
-        if let Some((tid, chosen, mask, what)) = placement {
-            let eligible: Vec<usize> = (0..cores.len())
-                .filter(|&c| {
-                    online[c]
-                        && mask.contains(CoreId(c))
-                        && cores[c].running.is_none()
-                        && cores[c].queue.is_empty()
-                })
-                .collect();
-            if let Some(&best) = eligible
-                .iter()
-                .max_by(|&&a, &&b| speeds[a].cmp(&speeds[b]).then(b.cmp(&a)))
-            {
-                if chosen.0 != best {
-                    let rank_desc = match rank_site {
-                        Some(s) => {
-                            format!("the ranking in force since SpeedChange at #{s}")
-                        }
-                        None => "the machine's initial speed ranking".to_string(),
-                    };
-                    let site = match rank_site {
-                        Some(s) => format!("#{s}->#{i}"),
-                        None => format!("#{i}"),
-                    };
-                    violations.push(
-                        Violation::new(
-                            ViolationKind::StaleRanking,
-                            Some(r.time),
-                            format!(
-                                "{tid} {what} core{} (speed {:.3}) at #{i} while idle eligible \
-                                 core{best} (speed {:.3}) was faster under {rank_desc} — the \
-                                 placement ignored the current speed ranking",
-                                chosen.0,
-                                speeds[chosen.0].factor(),
-                                speeds[best].factor(),
-                            ),
-                        )
-                        .with_object(format!("core{}", chosen.0))
-                        .with_site(site),
-                    );
-                }
-            }
+        if let Some(placement) = placement {
+            self.lint_placement(i, r.time, placement);
         }
+        let cores = &mut self.cores;
         match r.event {
             TraceEvent::Spawn {
                 tid,
@@ -726,7 +960,7 @@ pub fn check_stale_ranking(trace: &KernelTrace) -> Vec<Violation> {
                 affinity: mask,
                 ..
             } => {
-                affinity.insert(tid, mask);
+                *slot(&mut self.affinity, tid.index()) = Some(mask);
                 cores[core.0].queue.push(tid);
             }
             TraceEvent::Dispatch { tid, core } => {
@@ -749,7 +983,7 @@ pub fn check_stale_ranking(trace: &KernelTrace) -> Vec<Violation> {
             TraceEvent::Block { tid, .. }
             | TraceEvent::Sleep { tid }
             | TraceEvent::Done { tid } => {
-                for c in &mut cores {
+                for c in cores.iter_mut() {
                     if c.running == Some(tid) {
                         c.running = None;
                     }
@@ -757,27 +991,43 @@ pub fn check_stale_ranking(trace: &KernelTrace) -> Vec<Violation> {
             }
             TraceEvent::SetAffinity { tid, affinity: m }
             | TraceEvent::AffinityOverride { tid, affinity: m } => {
-                affinity.insert(tid, m);
+                *slot(&mut self.affinity, tid.index()) = Some(m);
             }
             TraceEvent::SpeedChange { core, speed } => {
-                speeds[core.0] = speed;
-                rank_site = Some(i);
+                self.speeds[core.0] = speed;
+                self.rank_site = Some(i);
             }
             TraceEvent::CoreOffline { core } => {
-                online[core.0] = false;
+                self.online[core.0] = false;
             }
             TraceEvent::CoreOnline { core } => {
-                online[core.0] = true;
+                self.online[core.0] = true;
             }
             TraceEvent::ThreadKilled { tid } => {
-                for c in &mut cores {
+                for c in cores.iter_mut() {
                     remove(&mut c.queue, tid);
                 }
             }
             _ => {}
         }
     }
-    violations
+
+    fn finish(self) -> Vec<Violation> {
+        self.violations
+    }
+}
+
+/// Lints every placement decision (spawn and wakeup) of an
+/// asymmetry-aware trace against the speed ranking in force at that
+/// instant: when any idle, online, affinity-eligible core exists, the
+/// kernel's placement contract is "fastest such core, ties to the lowest
+/// index". A placement that lands anywhere else used a stale (or plain
+/// wrong) ranking — the §3.1.1 bug class where a fault re-ranks the
+/// cores and a dispatch keeps consulting the old table. The report cites
+/// both the ranking site (the latest `SpeedChange`, or the initial
+/// machine shape) and the offending placement.
+pub fn check_stale_ranking(trace: &KernelTrace) -> Vec<Violation> {
+    replay(trace, StaleRanking::new(trace))
 }
 
 // ----------------------------------------------------------------------
@@ -800,6 +1050,132 @@ pub const RERANK_THRASH_WINDOW: SimDuration = SimDuration::from_millis(1);
 /// the same tick.
 pub const RERANK_THRASH_LIMIT: usize = 8;
 
+/// Fills `order` with the online cores, fastest first (ties to the
+/// lowest index).
+fn rank_into(order: &mut Vec<usize>, speeds: &[Speed], online: &[bool]) {
+    order.clear();
+    order.extend((0..speeds.len()).filter(|&c| online[c]));
+    order.sort_by(|&a, &b| speeds[b].cmp(&speeds[a]).then(a.cmp(&b)));
+}
+
+/// The re-ranking hygiene lint (see [`check_rerank_hygiene`]).
+struct RerankHygiene {
+    speeds: Vec<Speed>,
+    online: Vec<bool>,
+    /// The online-core ranking before and after a speed change (reused
+    /// buffers).
+    before: Vec<usize>,
+    after: Vec<usize>,
+    /// Unconfirmed ranking reorders: (record index, core, time).
+    pending: Vec<(usize, CoreId, SimTime)>,
+    /// Recent rerank sites for the thrash window: (time, record index).
+    recent: VecDeque<(SimTime, usize)>,
+    thrash_reported: bool,
+    violations: Vec<Violation>,
+}
+
+impl RerankHygiene {
+    fn new(trace: &KernelTrace) -> Self {
+        let speeds = trace.machine.speeds().to_vec();
+        RerankHygiene {
+            online: vec![true; speeds.len()],
+            speeds,
+            before: Vec::new(),
+            after: Vec::new(),
+            pending: Vec::new(),
+            recent: VecDeque::new(),
+            thrash_reported: false,
+            violations: Vec::new(),
+        }
+    }
+
+    fn stale(&mut self, (idx, core, time): (usize, CoreId, SimTime)) {
+        self.violations.push(
+            Violation::new(
+                ViolationKind::StaleRerank,
+                Some(time),
+                format!(
+                    "SpeedChange at #{idx} reordered the online-core speed ranking but no \
+                     Rerank record for core{} followed within {}",
+                    core.0, RERANK_STALENESS_BOUND
+                ),
+            )
+            .with_object(format!("core{}", core.0))
+            .with_site(format!("#{idx}")),
+        );
+    }
+}
+
+impl Pass for RerankHygiene {
+    fn on_record(&mut self, i: usize, r: &TraceRecord) {
+        // Expire overdue confirmations before applying this record.
+        while let Some(&first) = self.pending.first() {
+            if r.time.duration_since(first.2) > RERANK_STALENESS_BOUND {
+                self.stale(first);
+                self.pending.remove(0);
+            } else {
+                break;
+            }
+        }
+        match r.event {
+            TraceEvent::SpeedChange { core, speed } => {
+                rank_into(&mut self.before, &self.speeds, &self.online);
+                self.speeds[core.0] = speed;
+                rank_into(&mut self.after, &self.speeds, &self.online);
+                if self.after != self.before {
+                    self.pending.push((i, core, r.time));
+                }
+            }
+            TraceEvent::Rerank { core } => {
+                if let Some(pos) = self.pending.iter().position(|&(_, c, _)| c == core) {
+                    self.pending.remove(pos);
+                }
+                while let Some(&(t, _)) = self.recent.front() {
+                    if r.time.duration_since(t) > RERANK_THRASH_WINDOW {
+                        self.recent.pop_front();
+                    } else {
+                        break;
+                    }
+                }
+                self.recent.push_back((r.time, i));
+                if self.recent.len() > RERANK_THRASH_LIMIT && !self.thrash_reported {
+                    self.thrash_reported = true;
+                    let (start_t, start_i) = *self.recent.front().expect("window not empty");
+                    self.violations.push(
+                        Violation::new(
+                            ViolationKind::RerankThrash,
+                            Some(r.time),
+                            format!(
+                                "{} re-ranks inside one {} window (since #{start_i} at \
+                                 {start_t}): hysteresis failed to damp the churn",
+                                self.recent.len(),
+                                RERANK_THRASH_WINDOW
+                            ),
+                        )
+                        .with_site(format!("#{start_i}->#{i}")),
+                    );
+                }
+            }
+            TraceEvent::CoreOffline { core } => {
+                self.online[core.0] = false;
+            }
+            TraceEvent::CoreOnline { core } => {
+                self.online[core.0] = true;
+            }
+            _ => {}
+        }
+    }
+
+    fn finish(mut self) -> Vec<Violation> {
+        // A reorder the trace never confirmed is stale no matter when the
+        // run ended: the kernel announces re-ranks in the same instant.
+        for pending in std::mem::take(&mut self.pending) {
+            self.stale(pending);
+        }
+        self.violations
+    }
+}
+
 /// Lints the re-ranking contract of a trace with dynamic speeds:
 ///
 /// 1. **Staleness** — every `SpeedChange` that reorders the online-core
@@ -816,97 +1192,7 @@ pub const RERANK_THRASH_LIMIT: usize = 8;
 /// scheduler's. Hotplug reorders (a core leaving or joining the ranking)
 /// are not speed re-ranks and carry no confirmation obligation.
 pub fn check_rerank_hygiene(trace: &KernelTrace) -> Vec<Violation> {
-    let mut speeds = trace.machine.speeds().to_vec();
-    let mut online = vec![true; speeds.len()];
-    let ranking = |speeds: &[asym_sim::Speed], online: &[bool]| -> Vec<usize> {
-        let mut order: Vec<usize> = (0..speeds.len()).filter(|&c| online[c]).collect();
-        order.sort_by(|&a, &b| speeds[b].cmp(&speeds[a]).then(a.cmp(&b)));
-        order
-    };
-    // Unconfirmed ranking reorders: (record index, core, deadline).
-    let mut pending: Vec<(usize, CoreId, SimTime)> = Vec::new();
-    // Recent rerank sites for the thrash window: (time, record index).
-    let mut recent: VecDeque<(SimTime, usize)> = VecDeque::new();
-    let mut thrash_reported = false;
-    let mut violations = Vec::new();
-
-    let stale = |idx: usize, core: CoreId, time: SimTime| {
-        Violation::new(
-            ViolationKind::StaleRerank,
-            Some(time),
-            format!(
-                "SpeedChange at #{idx} reordered the online-core speed ranking but no \
-                 Rerank record for core{} followed within {}",
-                core.0, RERANK_STALENESS_BOUND
-            ),
-        )
-        .with_object(format!("core{}", core.0))
-        .with_site(format!("#{idx}"))
-    };
-
-    for (i, r) in trace.records().enumerate() {
-        // Expire overdue confirmations before applying this record.
-        while let Some(&(idx, core, at)) = pending.first() {
-            if r.time.duration_since(at) > RERANK_STALENESS_BOUND {
-                violations.push(stale(idx, core, at));
-                pending.remove(0);
-            } else {
-                break;
-            }
-        }
-        match r.event {
-            TraceEvent::SpeedChange { core, speed } => {
-                let before = ranking(&speeds, &online);
-                speeds[core.0] = speed;
-                if ranking(&speeds, &online) != before {
-                    pending.push((i, core, r.time));
-                }
-            }
-            TraceEvent::Rerank { core } => {
-                if let Some(pos) = pending.iter().position(|&(_, c, _)| c == core) {
-                    pending.remove(pos);
-                }
-                while let Some(&(t, _)) = recent.front() {
-                    if r.time.duration_since(t) > RERANK_THRASH_WINDOW {
-                        recent.pop_front();
-                    } else {
-                        break;
-                    }
-                }
-                recent.push_back((r.time, i));
-                if recent.len() > RERANK_THRASH_LIMIT && !thrash_reported {
-                    thrash_reported = true;
-                    let (start_t, start_i) = *recent.front().expect("window not empty");
-                    violations.push(
-                        Violation::new(
-                            ViolationKind::RerankThrash,
-                            Some(r.time),
-                            format!(
-                                "{} re-ranks inside one {} window (since #{start_i} at \
-                                 {start_t}): hysteresis failed to damp the churn",
-                                recent.len(),
-                                RERANK_THRASH_WINDOW
-                            ),
-                        )
-                        .with_site(format!("#{start_i}->#{i}")),
-                    );
-                }
-            }
-            TraceEvent::CoreOffline { core } => {
-                online[core.0] = false;
-            }
-            TraceEvent::CoreOnline { core } => {
-                online[core.0] = true;
-            }
-            _ => {}
-        }
-    }
-    // A reorder the trace never confirmed is stale no matter when the
-    // run ended: the kernel announces re-ranks in the same instant.
-    for (idx, core, at) in pending {
-        violations.push(stale(idx, core, at));
-    }
-    violations
+    replay(trace, RerankHygiene::new(trace))
 }
 
 // ----------------------------------------------------------------------
@@ -923,6 +1209,132 @@ pub const STARVATION_BOUND: SimDuration = SimDuration::from_millis(200);
 /// starvation rather than a briefly-overloaded queue.
 pub const STARVATION_MIN_BYPASSES: usize = 64;
 
+/// One queued thread's wait.
+#[derive(Debug, Clone, Copy)]
+struct Waiting {
+    core: CoreId,
+    since: SimTime,
+    since_idx: usize,
+    /// Dispatches that bypassed it on cores it was stolen away from.
+    bypassed: usize,
+    /// Its current core's dispatch count when it arrived there.
+    mark: usize,
+}
+
+/// The fair-share starvation lint (see [`check_starvation`]).
+struct Starvation {
+    /// Indexed by [`ThreadId`]; `Some` while the thread sits queued.
+    queued: Vec<Option<Waiting>>,
+    /// Dispatches so far, per core: a waiting thread's bypass count is
+    /// how far its core's count moved while it waited there.
+    dispatches: Vec<usize>,
+    /// The time of the latest record (where a still-queued wait ends).
+    end: Option<SimTime>,
+    violations: Vec<Violation>,
+}
+
+impl Starvation {
+    /// The lint for `trace`, or `None` unless its policy is
+    /// [`PolicyKind::VruntimeFair`].
+    fn new(trace: &KernelTrace) -> Option<Self> {
+        (trace.policy.kind() == PolicyKind::VruntimeFair).then(|| Starvation {
+            queued: Vec::new(),
+            dispatches: Vec::new(),
+            end: None,
+            violations: Vec::new(),
+        })
+    }
+
+    fn dispatched_on(&mut self, core: CoreId) -> usize {
+        *slot(&mut self.dispatches, core.0)
+    }
+
+    fn bypasses(&mut self, w: &Waiting) -> usize {
+        w.bypassed + self.dispatched_on(w.core) - w.mark
+    }
+
+    fn flag(&mut self, tid: usize, w: &Waiting, end: SimTime, end_idx: Option<usize>) {
+        let waited = end.duration_since(w.since);
+        let bypasses = self.bypasses(w);
+        if waited > STARVATION_BOUND && bypasses >= STARVATION_MIN_BYPASSES {
+            let site = match end_idx {
+                Some(idx) => format!("#{}->#{idx}", w.since_idx),
+                None => format!("#{}->end", w.since_idx),
+            };
+            self.violations.push(
+                Violation::new(
+                    ViolationKind::Starvation,
+                    Some(end),
+                    format!(
+                        "thread {tid} sat queued on core {} for {waited} (bound \
+                         {STARVATION_BOUND}) while {bypasses} other dispatches ran there",
+                        w.core.0,
+                    ),
+                )
+                .with_object(format!("thread{tid}"))
+                .with_site(site),
+            );
+        }
+    }
+}
+
+impl Pass for Starvation {
+    fn on_record(&mut self, i: usize, r: &TraceRecord) {
+        self.end = Some(r.time);
+        match r.event {
+            TraceEvent::Spawn { tid, core, .. }
+            | TraceEvent::Wakeup { tid, core, .. }
+            | TraceEvent::Preempt { tid, core, .. } => {
+                let mark = self.dispatched_on(core);
+                *slot(&mut self.queued, tid.index()) = Some(Waiting {
+                    core,
+                    since: r.time,
+                    since_idx: i,
+                    bypassed: 0,
+                    mark,
+                });
+            }
+            TraceEvent::Steal { tid, to, .. } => {
+                // A migration keeps the wait clock running: the thread
+                // is still runnable-and-not-running, just elsewhere.
+                if let Some(mut w) = self.queued.get(tid.index()).copied().flatten() {
+                    w.bypassed = self.bypasses(&w);
+                    w.core = to;
+                    w.mark = self.dispatched_on(to);
+                    self.queued[tid.index()] = Some(w);
+                }
+            }
+            TraceEvent::Dispatch { tid, core } => {
+                // Its own dispatch ends the wait; every other thread
+                // queued on `core` is bypassed once more.
+                if let Some(w) = self.queued.get_mut(tid.index()).and_then(Option::take) {
+                    self.flag(tid.index(), &w, r.time, Some(i));
+                }
+                *slot(&mut self.dispatches, core.0) += 1;
+            }
+            TraceEvent::Done { tid } | TraceEvent::ThreadKilled { tid } => {
+                if let Some(w) = self.queued.get_mut(tid.index()) {
+                    *w = None;
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn finish(mut self) -> Vec<Violation> {
+        // Threads still queued when the trace ends starved with no
+        // terminating dispatch to cite.
+        if let Some(end) = self.end {
+            for tid in 0..self.queued.len() {
+                if let Some(w) = self.queued[tid] {
+                    self.flag(tid, &w, end, None);
+                }
+            }
+        }
+        self.violations
+    }
+}
+
 /// Lints fair-share (vruntime) traces for starvation: a thread that
 /// stays continuously queued for more than [`STARVATION_BOUND`] while
 /// the scheduler dispatches other threads on its core at least
@@ -932,101 +1344,31 @@ pub const STARVATION_MIN_BYPASSES: usize = 64;
 /// Only applies to [`PolicyKind::VruntimeFair`] traces; priority and
 /// FIFO policies legitimately order threads by other criteria.
 pub fn check_starvation(trace: &KernelTrace) -> Vec<Violation> {
-    if trace.policy.kind() != PolicyKind::VruntimeFair {
-        return Vec::new();
-    }
-    struct Waiting {
-        core: CoreId,
-        since: SimTime,
-        since_idx: usize,
-        bypasses: usize,
-    }
-    let mut queued: HashMap<ThreadId, Waiting> = HashMap::new();
-    let mut violations = Vec::new();
-    let mut flag = |tid: ThreadId, w: &Waiting, end: SimTime, end_idx: Option<usize>| {
-        let waited = end.duration_since(w.since);
-        if waited > STARVATION_BOUND && w.bypasses >= STARVATION_MIN_BYPASSES {
-            let site = match end_idx {
-                Some(idx) => format!("#{}->#{idx}", w.since_idx),
-                None => format!("#{}->end", w.since_idx),
-            };
-            violations.push(
-                Violation::new(
-                    ViolationKind::Starvation,
-                    Some(end),
-                    format!(
-                        "thread {} sat queued on core {} for {waited} (bound \
-                         {STARVATION_BOUND}) while {} other dispatches ran there",
-                        tid.index(),
-                        w.core.0,
-                        w.bypasses,
-                    ),
-                )
-                .with_object(format!("thread{}", tid.index()))
-                .with_site(site),
-            );
-        }
-    };
-    for (i, r) in trace.records().enumerate() {
-        match r.event {
-            TraceEvent::Spawn { tid, core, .. }
-            | TraceEvent::Wakeup { tid, core, .. }
-            | TraceEvent::Preempt { tid, core, .. } => {
-                queued.insert(
-                    tid,
-                    Waiting {
-                        core,
-                        since: r.time,
-                        since_idx: i,
-                        bypasses: 0,
-                    },
-                );
-            }
-            TraceEvent::Steal { tid, to, .. } => {
-                // A migration keeps the wait clock running: the thread
-                // is still runnable-and-not-running, just elsewhere.
-                if let Some(w) = queued.get_mut(&tid) {
-                    w.core = to;
-                }
-            }
-            TraceEvent::Dispatch { tid, core } => {
-                for (other, w) in queued.iter_mut() {
-                    if *other != tid && w.core == core {
-                        w.bypasses += 1;
-                    }
-                }
-                if let Some(w) = queued.remove(&tid) {
-                    flag(tid, &w, r.time, Some(i));
-                }
-            }
-            TraceEvent::Done { tid } | TraceEvent::ThreadKilled { tid } => {
-                queued.remove(&tid);
-            }
-            _ => {}
-        }
-    }
-    // Threads still queued when the trace ends starved with no
-    // terminating dispatch to cite.
-    if let Some(end) = trace.records().last().map(|r| r.time) {
-        let mut leftover: Vec<_> = queued.into_iter().collect();
-        leftover.sort_by_key(|(tid, _)| *tid);
-        for (tid, w) in leftover {
-            flag(tid, &w, end, None);
-        }
-    }
-    violations
+    replay(trace, Starvation::new(trace))
 }
 
 /// The full happens-before suite over one trace: vector-clock data
 /// races, lock-set violations, and the scheduler-policy lints
 /// (stale-ranking placements, re-ranking hygiene, and fair-share
 /// starvation), in canonical (kind, object, site) order with duplicates
-/// removed.
+/// removed. One decode of the trace feeds all five passes.
 pub fn check_concurrency(trace: &KernelTrace) -> Vec<Violation> {
-    let mut violations = check_races(trace);
-    violations.extend(check_locksets(trace));
-    violations.extend(check_stale_ranking(trace));
-    violations.extend(check_rerank_hygiene(trace));
-    violations.extend(check_starvation(trace));
+    let mut races = HbPass::new(trace, None);
+    let mut locksets = LockSets::new(trace);
+    let mut ranking = StaleRanking::new(trace);
+    let mut rerank = RerankHygiene::new(trace);
+    let mut starvation = Starvation::new(trace);
+    for (i, r) in trace.records().enumerate() {
+        races.on_record(i, &r);
+        locksets.on_record(i, &r);
+        ranking.on_record(i, &r);
+        rerank.on_record(i, &r);
+        starvation.on_record(i, &r);
+    }
+    let mut violations = races.finish();
+    violations.extend(locksets.finish());
+    violations.extend(ranking.finish());
+    violations.extend(rerank.finish());
+    violations.extend(starvation.finish());
     crate::normalize_violations(violations)
 }

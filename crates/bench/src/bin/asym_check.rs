@@ -12,19 +12,21 @@
 //! `--races` sweeps the same matrix through the happens-before engine
 //! instead: FastTrack-style vector-clock race detection over the
 //! workloads' `SharedRead`/`SharedWrite` annotations, the Eraser-style
-//! lock-set checker, and the stale-speed-ranking policy lint.
+//! lock-set checker, and the policy lints (stale speed ranking, re-rank
+//! hygiene, starvation), all fed by one decode of each trace.
 //!
 //! `--fixtures` instead runs the seeded negative fixtures and verifies
 //! each detector actually fires; here the exit code is nonzero if a
 //! detector *fails* to fire.
 //!
 //! `--quick` restricts the sweep to a single asymmetric configuration
-//! (1f-3s/8) — the CI smoke mode (`--races --quick` likewise).
+//! (1f-3s/8) — the CI smoke mode. CI runs `--races` over the full
+//! matrix and pins its summary line.
 
 use asym_analysis::fixtures::{
     ab_ba_deadlock, downhill_steal, lock_order_inversion, lockset_violation, missed_signal,
     missing_rerank, offline_core_dispatch, rerank_thrash, stale_ranking_dispatch, stalled_run,
-    swallowed_kill, unprotected_write_race, vruntime_starvation,
+    swallowed_kill, unordered_readers_then_write, unprotected_write_race, vruntime_starvation,
 };
 use asym_analysis::hb::{check_concurrency, happens_before};
 use asym_analysis::{analyze_trace, check_workload, render_violations, KernelTrace, ViolationKind};
@@ -89,6 +91,11 @@ fn run_fixtures() -> ExitCode {
     ok &= expect_fires(
         "unordered writes to one shared counter",
         &unprotected_write_race(),
+        ViolationKind::DataRace,
+    );
+    ok &= expect_fires(
+        "three unordered readers, then an unordered writer",
+        &unordered_readers_then_write(),
         ViolationKind::DataRace,
     );
     ok &= expect_fires(

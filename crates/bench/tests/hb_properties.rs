@@ -3,27 +3,42 @@
 //!
 //! * The happens-before relation must be acyclic and consistent with
 //!   trace timestamps on every clean run of the full experiment matrix
-//!   (all nine configurations × all eight paper workloads).
+//!   (all nine configurations × all eight paper workloads), and its
+//!   exact size and edge lists are pinned.
+//! * The one-pass suite must report exactly what the five standalone
+//!   checks report between them, on every matrix trace.
 //! * The violations a [`CellRunner`] trace check reports must be
 //!   byte-identical whatever the host thread count.
 
-use asym_analysis::hb::happens_before;
+use asym_analysis::hb::{
+    check_concurrency, check_locksets, check_races, check_rerank_hygiene, check_stale_ranking,
+    check_starvation, happens_before,
+};
+use asym_analysis::normalize_violations;
 use asym_bench::{concurrency_check, paper_workloads};
 use asym_core::{
     AsymConfig, CellRunner, Direction, ExperimentOptions, ExperimentPlan, RunResult, RunSetup,
     SpecMode, Workload,
 };
-use asym_kernel::{capture_traces, FnThread, Kernel, SchedPolicy, SpawnOptions, Step};
-use asym_sim::Cycles;
+use asym_kernel::{
+    capture_traces, FnThread, Kernel, SchedPolicy, SpawnOptions, Step, TraceHashFold,
+};
+use asym_sim::{Cycles, StableHasher};
 use asym_sync::SimShared;
+use std::hash::Hasher;
 
 /// The HB relation of every trace of every (workload, config) cell is a
 /// DAG consistent with time: every edge points from an earlier record
 /// index to a strictly later one, and never backwards in simulated
-/// time. Clean runs must also be free of data races.
+/// time. Clean runs must also be free of data races. The matrix's
+/// kernel, event and edge totals are pinned exactly, and so is a digest
+/// of every trace's `(src, dst, kind)` edge list, so a checker rewrite
+/// cannot drop, add or reorder a single edge unnoticed.
 #[test]
 fn hb_relation_is_acyclic_and_time_consistent_across_matrix() {
     let policy = SchedPolicy::asymmetry_aware();
+    let (mut kernels, mut events, mut edges) = (0usize, 0usize, 0usize);
+    let mut digest = TraceHashFold::new();
     for w in paper_workloads() {
         for config in AsymConfig::standard_nine() {
             let setup = RunSetup::new(config, policy, 0);
@@ -63,9 +78,40 @@ fn hb_relation_is_acyclic_and_time_consistent_across_matrix() {
                     "{label}: clean run reported races: {:?}",
                     analysis.races
                 );
+                let mut h = StableHasher::new();
+                for e in &analysis.edges {
+                    h.write_u64(e.src as u64);
+                    h.write_u64(e.dst as u64);
+                    h.write_u8(e.kind as u8);
+                }
+                digest.push(h.finish());
+                kernels += 1;
+                events += trace.num_records();
+                edges += analysis.edges.len();
+
+                let mut separate = check_races(trace);
+                separate.extend(check_locksets(trace));
+                separate.extend(check_stale_ranking(trace));
+                separate.extend(check_rerank_hygiene(trace));
+                separate.extend(check_starvation(trace));
+                assert_eq!(
+                    check_concurrency(trace),
+                    normalize_violations(separate),
+                    "{label}: the one-pass suite disagrees with the standalone checks"
+                );
             }
         }
     }
+    assert_eq!(
+        (kernels, events, edges),
+        (72, 11_262_562, 4_755_243),
+        "matrix totals (kernels, trace events, happens-before edges)"
+    );
+    assert_eq!(
+        digest.finish(),
+        1_974_014_718_397_254_071,
+        "digest of every trace's happens-before edge list"
+    );
 }
 
 /// A deliberately racy workload: two threads increment one [`SimShared`]

@@ -22,8 +22,12 @@ cargo run -q --release -p asym-bench --bin asym_check -- --fixtures
 echo "==> asym-check --quick (1f-3s/8 smoke sweep must be clean)"
 cargo run -q --release -p asym-bench --bin asym_check -- --quick
 
-echo "==> asym-check --races --quick (happens-before race/lock-set/ranking pass must be clean)"
-cargo run -q --release -p asym-bench --bin asym_check -- --races --quick
+echo "==> asym-check --races (happens-before race/lock-set/ranking pass over all 72 cells: clean, exact totals)"
+races="$(cargo run -q --release -p asym-bench --bin asym_check -- --races)" \
+  || { echo "$races"; echo "FAIL: asym_check --races reported violations"; exit 1; }
+expected="analyzed 72 kernels / 11262562 trace events / 4755243 happens-before edges"
+grep -qxF "$expected" <<< "$races" \
+  || { echo "$races" | tail -n 5; echo "FAIL: asym_check --races summary is not '$expected'"; exit 1; }
 
 echo "==> extra_fault_sweep --quick (faulted smoke sweep: classified, clean, deterministic)"
 cargo run -q --release -p asym-bench --bin extra_fault_sweep -- --quick > /dev/null
