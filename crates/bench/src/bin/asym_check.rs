@@ -29,7 +29,7 @@ use asym_analysis::fixtures::{
     swallowed_kill, unordered_readers_then_write, unprotected_write_race, vruntime_starvation,
 };
 use asym_analysis::hb::{check_concurrency, happens_before};
-use asym_analysis::{analyze_trace, check_workload, render_violations, KernelTrace, ViolationKind};
+use asym_analysis::{check_workload, render_violations, Analyses, KernelTrace, ViolationKind};
 use asym_bench::paper_workloads;
 use asym_core::{AsymConfig, RunSetup};
 use asym_kernel::{capture_traces, SchedPolicy};
@@ -38,8 +38,7 @@ use std::process::ExitCode;
 /// Runs one fixture's trace through the analyses and checks the
 /// expected detector fired. Prints a PASS/FAIL line; returns success.
 fn expect_fires(name: &str, trace: &KernelTrace, expected: ViolationKind) -> bool {
-    let mut violations = analyze_trace(trace);
-    violations.extend(check_concurrency(trace));
+    let violations = Analyses::ALL.replay(trace);
     let fired = violations.iter().any(|v| v.kind == expected);
     let status = if fired { "PASS" } else { "FAIL" };
     println!(

@@ -10,12 +10,10 @@
 //! counts, and trace hashes.
 
 use crate::spec::{registry, SweepContext, SweepSpec};
-use asym_analysis::analyze_trace;
-use asym_analysis::hb::check_concurrency;
+use asym_analysis::Analyses;
 use asym_core::{resolve_jobs, CellCache, CellRunner, ExperimentPlan, TraceCheck};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 /// Default path for `--json` without an explicit `=PATH`.
 pub const DEFAULT_JSON_PATH: &str = "BENCH_sweep.json";
@@ -23,12 +21,6 @@ pub const DEFAULT_JSON_PATH: &str = "BENCH_sweep.json";
 /// Default directory of the persistent cell cache (gitignored); used
 /// unless `--cache DIR` redirects it or `--cache=off` disables it.
 pub const DEFAULT_CACHE_DIR: &str = ".asym-cache";
-
-/// Cell cap applied when `--check` is combined with a spec selection
-/// and no explicit `--max-cells` overrides it: the full analysis suite
-/// per cell is orders of magnitude slower than execution, so a
-/// million-cell sweep under `--check` is almost certainly a mistake.
-pub const DEFAULT_CHECK_CELL_CAP: usize = 20_000;
 
 /// Where the persistent cell cache lives, if anywhere.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -66,9 +58,9 @@ pub struct SweepArgs {
     pub quick: bool,
     /// `--json` / `--json=PATH`: write the engine's structured report.
     pub json: Option<PathBuf>,
-    /// `--check`: run the happens-before race detector, lock-set
-    /// checker, and policy lints on every cell's traces; findings fail
-    /// the sweep.
+    /// `--check`: stream every cell's kernels through all twelve trace
+    /// analyses (the seven lints and the five happens-before passes);
+    /// findings fail the sweep.
     pub check: bool,
     /// `--list`: print registered specs and exit.
     pub list: bool,
@@ -76,8 +68,7 @@ pub struct SweepArgs {
     /// persistent cell cache lives (default: [`DEFAULT_CACHE_DIR`]).
     pub cache: CacheSetting,
     /// `--max-cells N`: refuse to run a plan larger than `N` cells
-    /// (guards against accidentally huge sweeps; `--check` defaults to
-    /// [`DEFAULT_CHECK_CELL_CAP`] when this is unset).
+    /// (guards against accidentally huge sweeps).
     pub max_cells: Option<usize>,
 }
 
@@ -202,28 +193,14 @@ pub fn run_sweeps(names: &[&str], args: &SweepArgs) -> ExitCode {
         );
     }
 
-    // Fail fast on oversized plans BEFORE any cell executes: an
-    // explicit --max-cells always binds; --check alone gets a generous
-    // default cap, since per-cell analysis is far slower than execution.
-    let cap = args.max_cells.or(if args.check {
-        Some(DEFAULT_CHECK_CELL_CAP)
-    } else {
-        None
-    });
-    if let Some(cap) = cap {
-        if plan.len() > cap {
-            eprintln!(
-                "[asym-sweep] refusing to run {} cells: over the {} limit of {cap} \
-                 (raise or drop --max-cells, narrow the spec selection, or drop --check)",
-                plan.len(),
-                if args.max_cells.is_some() {
-                    "--max-cells"
-                } else {
-                    "--check default"
-                },
-            );
-            return ExitCode::FAILURE;
-        }
+    // Fail fast on oversized plans BEFORE any cell executes.
+    if let Some(cap) = args.max_cells.filter(|&cap| plan.len() > cap) {
+        eprintln!(
+            "[asym-sweep] refusing to run {} cells: over the --max-cells limit of {cap} \
+             (raise or drop --max-cells, or narrow the spec selection)",
+            plan.len(),
+        );
+        return ExitCode::FAILURE;
     }
 
     let jobs = resolve_jobs(args.jobs);
@@ -244,7 +221,7 @@ pub fn run_sweeps(names: &[&str], args: &SweepArgs) -> ExitCode {
     // and the plain text figures don't need it.
     let mut runner = CellRunner::new(jobs).with_metrics(args.json.is_some());
     if args.check {
-        runner = runner.with_trace_check(concurrency_check());
+        runner = runner.with_trace_check(Analyses::ALL.trace_check());
     }
     if let Some(dir) = args.cache.dir() {
         match CellCache::open(&dir) {
@@ -299,9 +276,12 @@ pub fn run_sweeps(names: &[&str], args: &SweepArgs) -> ExitCode {
         );
         ok = false;
     } else if args.check {
+        let names: Vec<&str> = Analyses::ALL.names().collect();
         eprintln!(
-            "[asym-sweep] --check: all {} cell(s) race- and lint-clean",
-            report.cells.len()
+            "[asym-sweep] --check: all {} cell(s) clean under {} analyses ({})",
+            report.cells.len(),
+            names.len(),
+            names.join(", ")
         );
     }
     eprintln!(
@@ -353,31 +333,19 @@ pub fn spec_main(name: &str) -> ExitCode {
     run_sweeps(&[name], &args)
 }
 
-/// The [`TraceCheck`] that plugs `asym-analysis`'s happens-before race
-/// detection, lock-set checking, and policy lints into the cell engine:
-/// every kernel trace of a cell is analyzed, and findings are rendered
-/// one line each in the analyses' deterministic (kind, object, site)
-/// order.
+/// The [`TraceCheck`] that plugs `asym-analysis`'s five happens-before
+/// passes (race detection, lock-set checking, and the policy lints)
+/// into the cell engine: every kernel of a cell is streamed through
+/// them, and findings are rendered one line each in the analyses'
+/// deterministic (kind, object, site) order.
 pub fn concurrency_check() -> TraceCheck {
-    Arc::new(|traces| {
-        traces
-            .iter()
-            .flat_map(check_concurrency)
-            .map(|v| v.to_string())
-            .collect()
-    })
+    Analyses::CONCURRENCY.trace_check()
 }
 
-/// The [`TraceCheck`] that runs `asym-analysis`'s single-trace checkers
-/// ([`analyze_trace`]: deadlock, lock order, lost wakeup, fast-core idle,
-/// offline dispatch, forward progress, kill accounting) over every
-/// kernel trace of a cell, one rendered line per finding.
+/// The [`TraceCheck`] that streams every kernel of a cell through
+/// `asym-analysis`'s seven lints (deadlock, lock order, lost wakeup,
+/// fast-core idle, offline dispatch, forward progress, kill
+/// accounting), one rendered line per finding.
 pub fn lint_check() -> TraceCheck {
-    Arc::new(|traces| {
-        traces
-            .iter()
-            .flat_map(analyze_trace)
-            .map(|v| v.to_string())
-            .collect()
-    })
+    Analyses::LINTS.trace_check()
 }

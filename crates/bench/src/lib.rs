@@ -27,7 +27,7 @@ mod spec;
 
 pub use driver::{
     concurrency_check, lint_check, run_sweeps, spec_main, CacheSetting, SweepArgs,
-    DEFAULT_CACHE_DIR, DEFAULT_CHECK_CELL_CAP,
+    DEFAULT_CACHE_DIR,
 };
 pub use spec::{
     registry, spec_names, RenderFn, Rendered, Section, SweepContext, SweepDef, SweepSpec,

@@ -9,12 +9,11 @@
 //! so every cell of every selected figure shares the same host thread
 //! pool and lands in the same structured JSON report.
 
-use crate::{
-    concurrency_check, header, lint_check, render_experiment, render_runs, stability_line,
-};
+use crate::{header, lint_check, render_experiment, render_runs, stability_line};
+use asym_analysis::Analyses;
 use asym_core::{
     run_experiment, AsymConfig, Experiment, ExperimentOptions, ResilientOptions, RunClass,
-    RunSetup, SpecMode, SummaryRow, TextTable, TraceCheck, Workload, WorkloadClass,
+    RunSetup, SpecMode, SummaryRow, TextTable, Workload, WorkloadClass,
 };
 use asym_kernel::{capture_traces, with_run_guard, RunGuard, SchedPolicy};
 use asym_sim::{
@@ -1626,14 +1625,9 @@ fn extra_tournament(ctx: &SweepContext) -> SweepDef {
     };
     let runs = if ctx.quick { 1 } else { 2 };
     let field = SchedPolicy::registry();
-    // The complete analysis suite: single-trace checkers, then the
-    // happens-before lints.
-    let (lints, hb) = (lint_check(), concurrency_check());
-    let check: TraceCheck = Arc::new(move |traces| {
-        let mut found = lints(traces);
-        found.extend(hb(traces));
-        found
-    });
+    // The complete analysis suite: the seven lints, then the five
+    // happens-before passes.
+    let check = Analyses::ALL.trace_check();
     let mut sections = Vec::new();
     for (pname, policy) in &field {
         for w in paper_workloads() {

@@ -9,7 +9,7 @@
 //!   given bad input or when a run-level step fails, and zero on their
 //!   clean smoke paths — CI relies on those codes.
 
-use asym_bench::concurrency_check;
+use asym_analysis::Analyses;
 use asym_core::{AsymConfig, CellRunner, ExperimentPlan, ResilientOptions, SpecMode};
 use asym_sim::{EnvironmentPlan, EnvironmentProfile, SimDuration};
 use asym_workloads::h264::H264;
@@ -95,8 +95,13 @@ fn forged_trace_fails_the_engine_trace_check() {
     // The same check `asym_sweep --check` installs: a forged trace with
     // a ranking reorder and no Rerank record must produce findings —
     // the driver turns any finding into a non-zero exit.
-    let check = concurrency_check();
-    let findings = check(&[asym_analysis::fixtures::missing_rerank()]);
+    let trace = asym_analysis::fixtures::missing_rerank();
+    let mut check = Analyses::ALL.trace_check()(&trace.machine, trace.policy);
+    for r in trace.records() {
+        check.on_event(r.time, &r.event);
+    }
+    check.on_close(trace.outcome, trace.budget_exhausted);
+    let findings = check.findings();
     assert!(
         findings.iter().any(|f| f.contains("stale-rerank")),
         "expected a stale-rerank finding, got {findings:?}"

@@ -608,14 +608,13 @@ pub struct ResilientOptions {
     /// Unlike fault plans, environment plans are never softened by
     /// retries — only reseeding re-derives them.
     pub env_planner: Option<EnvPlanner>,
-    /// The spec's own trace check, run (on the worker thread) over the
-    /// captured kernel traces of *every* attempt of every leg — retried
-    /// attempts included — so each attempt takes the buffered capture
-    /// path. Its findings land in [`RunRecord::violations`], those of
-    /// earlier attempts prefixed `attempt k: `. Legs of such a spec
-    /// also fold [`RunRecord::metrics`] (their traces are materialized
-    /// anyway), and its cells are never deduplicated or cached: the
-    /// check must see every requested run.
+    /// The spec's own trace check, streamed (on the worker thread)
+    /// beside the trace hash over every kernel of *every* attempt of
+    /// every leg — retried attempts included. Its findings land in
+    /// [`RunRecord::violations`], those of earlier attempts prefixed
+    /// `attempt k: `. Legs of such a spec also fold
+    /// [`RunRecord::metrics`], and its cells are never deduplicated or
+    /// cached: the check must see every requested run.
     pub check: Option<TraceCheck>,
 }
 
@@ -961,14 +960,8 @@ mod tests {
                 options: resilient_opts().retries(1),
             },
         );
-        let check: crate::engine::TraceCheck = Arc::new(|traces| {
-            traces
-                .iter()
-                .map(|t| format!("events={}", t.num_records()))
-                .collect()
-        });
         let out = crate::engine::CellRunner::new(1)
-            .with_trace_check(check)
+            .with_trace_check(crate::engine::tests::per_trace_check())
             .run(plan);
         let cell = &out.report.cells[0];
         assert_eq!(cell.class, RunClass::Completed);

@@ -67,8 +67,8 @@ mod workload;
 pub use cache::{CacheStats, CellCache};
 pub use config::{AsymConfig, ParseConfigError};
 pub use engine::{
-    default_jobs, resolve_jobs, Cell, CellReport, CellRunner, ExperimentPlan, PlanOutcome,
-    SpecMode, SweepReport, TraceCheck,
+    default_jobs, resolve_jobs, Cell, CellReport, CellRunner, ExperimentPlan, KernelCheck,
+    PlanOutcome, SpecMode, SweepReport, TraceCheck,
 };
 pub use experiment::{
     run_experiment, ConfigOutcome, DifferentialRep, EnvPlanner, Experiment, ExperimentOptions,

@@ -79,8 +79,20 @@ echo "==> asym_soak --quick --json (chaos soak: randomized environment x fault c
 cargo run -q --release -p asym-bench --bin asym_soak -- --quick --json > /dev/null
 test -s SOAK_report.json || { echo "FAIL: SOAK_report.json missing or empty"; exit 1; }
 
-echo "==> asym_sweep mini extra_dynamic extra_tournament --quick --check --jobs 2 --json (driver smoke + dynamic regimes + policy tournament + per-cell concurrency check)"
-cargo run -q --release -p asym-bench --bin asym_sweep -- mini extra_dynamic extra_tournament --quick --check --jobs 2 --json > /dev/null
+echo "==> asym_sweep all --quick --check --jobs 2 --json (driver smoke over every spec, all twelve trace analyses streamed per cell)"
+cargo run -q --release -p asym-bench --bin asym_sweep -- all --quick --check --jobs 2 --json \
+  > /dev/null 2> CHECK_sweep.log \
+  || { tail -n 20 CHECK_sweep.log; echo "FAIL: asym_sweep all --quick --check failed"; exit 1; }
+summary="$(grep -F -- '--check: all ' CHECK_sweep.log)" \
+  || { tail -n 20 CHECK_sweep.log; echo "FAIL: asym_sweep --check printed no clean summary"; exit 1; }
+for analysis in "clean under 12 analyses" deadlock lock-order lost-wakeup fast-core-idle \
+  offline-dispatch forward-progress kill-accounting data-race lock-set stale-ranking \
+  rerank-hygiene starvation; do
+  grep -qF -- "$analysis" <<< "$summary" \
+    || { echo "$summary"; echo "FAIL: the --check summary does not name '$analysis'"; exit 1; }
+done
+echo "   $summary"
+rm -f CHECK_sweep.log
 
 # The structured report must exist, be well-formed, contain no panicked
 # or deadlocked cells, and carry finite per-cell profile metrics; the
