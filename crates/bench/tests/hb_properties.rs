@@ -47,7 +47,7 @@ fn hb_relation_is_acyclic_and_time_consistent_across_matrix() {
             assert!(!traces.is_empty(), "{label}: no kernels captured");
             for trace in &traces {
                 let analysis = happens_before(trace);
-                let records = trace.records_vec();
+                let records: Vec<_> = trace.records().collect();
                 assert!(
                     !analysis.edges.is_empty(),
                     "{label}: no happens-before edges at all"

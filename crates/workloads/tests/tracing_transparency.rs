@@ -93,7 +93,7 @@ fn access_tracing_never_changes_scheduling() {
                     .collect();
                 assert_eq!(
                     scheduler_stream,
-                    t_off.records_vec(),
+                    t_off.records().collect::<Vec<_>>(),
                     "{label}: scheduler event stream differs with tracing on vs off"
                 );
             }
